@@ -138,7 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="print the Stanley decomposition")
     p.add_argument("--cert", required=True, metavar="FILE")
-    p.add_argument("--stanley", action="store_true")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("bounds", help="closed-form bounds at (n, d)")

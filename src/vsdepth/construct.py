@@ -15,16 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import Density, f_delta, f_int_masks
+from .blocks import f_int_masks
 from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismatch
-from .intervals import (
-    Certificate,
-    Interval,
-    covers,
-    verify_certificate,
-)
-from .matching import chain_successor_bits
-from .setcore import PointSet, popcount_array, size_masks_array
+from .intervals import Certificate, Interval, verify_certificate
+from .setcore import PointSet, interval_members, popcount_array, size_masks_array
 
 
 def _check_base_params(n: int, d: int, c: int) -> None:
@@ -50,36 +44,12 @@ def veronese_intervals(n: int, d: int, c: int) -> list[Interval]:
     ]
 
 
-def _rank_subsets(bases: np.ndarray, base_rank: int, t: int) -> np.ndarray:
-    """All size-t subsets of each base mask, bases all of size base_rank."""
-    if not 0 <= t <= base_rank:
-        return np.empty(0, dtype=np.int64)
-    bits = []
-    f = bases.copy()
-    for _ in range(base_rank):
-        low = f & -f
-        bits.append(low)
-        f ^= low
-    import itertools
-
-    chunks = []
-    for combo in itertools.combinations(range(base_rank), t):
-        member = np.zeros(bases.shape, dtype=np.int64)
-        for j in combo:
-            member |= bits[j]
-        chunks.append(member)
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-
-
 def _covered_masks_at_rank(
     bottoms: np.ndarray, tops: np.ndarray, d: int, c: int, t: int
 ) -> np.ndarray:
     """Distinct rank-t sets covered by the intervals [A, f_c(A)]."""
-    free = tops & ~bottoms  # c-1 free bits each
-    extra = _rank_subsets(free, c - 1, t - d)
-    reps = len(extra) // len(bottoms)
-    covered = np.tile(bottoms, reps) | extra
-    return np.unique(covered)
+    members = interval_members(bottoms, tops)
+    return np.unique(members[popcount_array(members) == t])
 
 
 def _uncovered_masks(n: int, d: int, c: int, t: int) -> np.ndarray:
@@ -107,17 +77,32 @@ def has_covered_superset(D: PointSet, n: int, d: int, c: int) -> bool:
         raise UniverseMismatch(f"universe {D.n} != n={n}")
     if D.size < d + 1:
         raise BadParameters(f"|D|={D.size} must be at least d+1={d + 1}")
-    delta = Density(c, 1)
-    import itertools
+    tops = f_int_masks(n, c, size_masks_array(n, d))
+    return bool(np.any(D.mask & ~tops == 0))
 
-    for A_members in itertools.combinations(range(1, n + 1), d):
-        mask = 0
-        for a in A_members:
-            mask |= 1 << (a - 1)
-        top = f_delta(n, PointSet(n, mask), delta)
-        if D.mask & ~top.mask == 0:
-            return True
-    return False
+
+def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """Per-mask 0-based position of the leftmost unmatched opening point.
+
+    This is the classic parenthesis rule for matching sets into
+    supersets.  Read position i as ')' when i is a member and '(' otherwise, match
+    parentheses, and report the leftmost unmatched '('.  Adding that
+    position to the set is injective over masks of a fixed size.  Raises
+    if some mask has no unmatched opening position (only possible when
+    members are at least half the universe).
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    unmatched_close = np.zeros(masks.shape, dtype=np.int32)
+    pos = np.full(masks.shape, -1, dtype=np.int32)
+    for i in range(n - 1, -1, -1):
+        member = ((masks >> np.int64(i)) & 1).astype(bool)
+        pos = np.where(~member & (unmatched_close == 0), np.int32(i), pos)
+        unmatched_close = np.where(
+            member, unmatched_close + 1, np.maximum(unmatched_close - 1, 0)
+        )
+    if bool(np.any(pos < 0)):
+        raise MatchingFailed("a set has no unmatched opening position")
+    return pos
 
 
 def construct_c2(d: int) -> Certificate:
@@ -194,8 +179,10 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
     Every explicit interval of p1 is lifted by the new point n+1; p2's
     intervals stay as-is.  Lifted p1 members all contain n+1 while p2
     members never do, so the union is disjoint, and p1's trivial sets lift
-    to rank >= p1.k + 1 where the new completion absorbs them.  The
-    composed certificate is verified before being returned.
+    to rank >= p1.k + 1 where the new completion absorbs them.  The inputs
+    are not checked on their own: a defect in either one surfaces in the
+    ranks the composition claims, so only the composed certificate is
+    verified, and ``DepthMismatch`` is raised if it fails.
     """
     if p1.universe_size != p2.universe_size:
         raise UniverseMismatch(
@@ -211,10 +198,6 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
         raise DepthMismatch(
             f"p1 depth {p1.claimed_depth} below required {a_plus1 - 1}"
         )
-    for cert, name in ((p1, "p1"), (p2, "p2")):
-        report = verify_certificate(cert)
-        if not report.valid:
-            raise DepthMismatch(f"{name} does not verify: {report.first_violation}")
     n = p1.universe_size
     new_bit = np.int64(1 << n)
     bottoms = np.concatenate([p1.bottom_masks | new_bit, p2.bottom_masks])
@@ -224,8 +207,8 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
     )
     report = verify_certificate(composed)
     if not report.valid:
-        raise AssertionError(
-            f"composed certificate failed verification: {report.first_violation}"
+        raise DepthMismatch(
+            f"composed certificate does not verify: {report.first_violation}"
         )
     return composed
 

@@ -37,10 +37,6 @@ class RefusesUnverified(VsdepthError):
     pass
 
 
-class DegreePreconditionViolated(VsdepthError):
-    pass
-
-
 class MatchingFailed(VsdepthError):
     """A matching guaranteed to exist could not be completed.
 

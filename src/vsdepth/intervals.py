@@ -27,17 +27,13 @@ from .errors import (
 from .setcore import (
     PointSet,
     format_set,
+    interval_members,
     parse_set,
     popcount_array,
     size_masks_array,
 )
 
 FILE_HEADER = "VSDEPTH-CERT v1"
-
-# vectorized member enumeration is used for interval groups at least this
-# large; tiny groups and very high-dimensional intervals go via plain ints
-_VECTOR_GROUP_MIN = 64
-_VECTOR_DIM_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -147,56 +143,6 @@ class VerifyReport:
     rank_coverage: dict[int, int] = field(default_factory=dict)
 
 
-def _enumerate_group(bottoms: np.ndarray, free: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Member masks of intervals sharing dimension ``dim``, vectorized.
-
-    Peels the free bits lowest-first, then emits one array per subset
-    pattern of the peeled bits.
-    """
-    bits = []
-    f = free.copy()
-    for _ in range(dim):
-        low = f & -f
-        bits.append(low)
-        f ^= low
-    out = []
-    for pattern in range(1 << dim):
-        member = bottoms.copy()
-        for j in range(dim):
-            if pattern >> j & 1:
-                member |= bits[j]
-        out.append(member)
-    return out
-
-
-def _all_members(bottoms: np.ndarray, tops: np.ndarray) -> np.ndarray:
-    """Every set covered by any interval, with multiplicity."""
-    free = tops & ~bottoms
-    dims = popcount_array(free)
-    chunks: list[np.ndarray] = []
-    for dim in np.unique(dims):
-        sel = dims == dim
-        count = int(sel.sum())
-        if dim == 0:
-            chunks.append(bottoms[sel])
-        elif count >= _VECTOR_GROUP_MIN and dim <= _VECTOR_DIM_MAX:
-            chunks.extend(_enumerate_group(bottoms[sel], free[sel], int(dim)))
-        else:
-            members = []
-            for b, fr in zip(bottoms[sel], free[sel]):
-                b, fr = int(b), int(fr)
-                sub = fr
-                while True:
-                    members.append(b | sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & fr
-            chunks.append(np.array(members, dtype=np.int64))
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
-
-
 def verify_certificate(cert: Certificate) -> VerifyReport:
     """Check the partition property and report the achieved depth.
 
@@ -238,7 +184,8 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
             False, None, ("top-too-small", PointSet(n, int(tops[idx])))
         )
 
-    members = np.sort(_all_members(bottoms, tops))
+    members = interval_members(bottoms, tops)
+    members.sort()
     if len(members) > 1 and bool(np.any(members[1:] == members[:-1])):
         idx = int(np.argmax(members[1:] == members[:-1]))
         return VerifyReport(
@@ -278,7 +225,7 @@ def render_stanley(cert: Certificate) -> str:
     for b, t in zip(cert.bottom_masks, cert.top_masks):
         variables = ",".join(f"x{i}" for i in PointSet(n, int(t)).members())
         lines.append(f"{_monomial(int(b), n)}·K[{variables}]")
-    members = _all_members(cert.bottom_masks, cert.top_masks)
+    members = interval_members(cert.bottom_masks, cert.top_masks)
     counts = np.bincount(popcount_array(members), minlength=n + 1)
     trivia = []
     for t in range(cert.min_generator_size, n + 1):

@@ -190,3 +190,31 @@ def size_masks_array(n: int, t: int) -> np.ndarray:
 def popcount_array(masks: np.ndarray) -> np.ndarray:
     """Per-element popcount of an int64 mask array."""
     return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+
+
+def interval_members(bottoms: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """Every member of every interval [bottom, top], with multiplicity.
+
+    Intervals are grouped by dimension; each group of G intervals of
+    dimension k fills a (2**k, G) block of one preallocated output by
+    doubling: rows [2**j, 2**(j+1)) are rows [0, 2**j) with each
+    interval's j-th lowest free bit added.  The order of the output is
+    unspecified.
+    """
+    free = tops & ~bottoms
+    dims = popcount_array(free)
+    counts = np.bincount(dims)
+    out = np.empty(sum(int(g) << k for k, g in enumerate(counts)), dtype=np.int64)
+    start = 0
+    for k in np.flatnonzero(counts).tolist():
+        g = int(counts[k])
+        block = out[start:start + (g << k)].reshape(1 << k, g)
+        sel = dims == k
+        block[0] = bottoms[sel]
+        rest = free[sel]
+        for j in range(k):
+            low = rest & -rest
+            rest ^= low
+            np.bitwise_or(block[: 1 << j], low, out=block[1 << j: 2 << j])
+        start += block.size
+    return out

@@ -15,7 +15,6 @@ from vsdepth.blocks import (
     verify_block_structure,
 )
 from vsdepth.intervals import Interval
-from vsdepth.matching import BipartiteGraph
 from vsdepth.setcore import PointSet
 
 
@@ -82,23 +81,18 @@ def intervals_share_member(i1: Interval, i2: Interval) -> bool:
     return False
 
 
-def exhaustive_max_matching_size(g: BipartiteGraph) -> int:
-    """Maximum matching size by complete enumeration."""
-    edges = [(u, v) for u, row in enumerate(g.adjacency) for v in row]
-
-    def best(idx: int, used_left: frozenset, used_right: frozenset) -> int:
-        if idx == len(edges):
-            return 0
-        u, v = edges[idx]
-        result = best(idx + 1, used_left, used_right)
-        if u not in used_left and v not in used_right:
-            result = max(
-                result,
-                1 + best(idx + 1, used_left | {u}, used_right | {v}),
-            )
-        return result
-
-    return best(0, frozenset(), frozenset())
+def interval_members_naive(bottoms, tops) -> list[int]:
+    """Every member of every interval by descending submask enumeration."""
+    out = []
+    for b, t in zip(bottoms, tops):
+        free = t & ~b
+        sub = free
+        while True:
+            out.append(b | sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return out
 
 
 def unrestricted_family_exists(n: int, d: int, k: int) -> bool:

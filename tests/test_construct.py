@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from vsdepth.blocks import Density, f_delta
 from vsdepth.construct import (
     bounds,
+    chain_successor_bits,
     compose_plus1,
     construct_c2,
     construct_c3,
@@ -15,9 +17,21 @@ from vsdepth.construct import (
     uncovered_sets,
     veronese_intervals,
 )
-from vsdepth.errors import BadParameters, DepthMismatch
-from vsdepth.intervals import verify_certificate
-from vsdepth.setcore import binomial, format_set, make_set
+from vsdepth.errors import (
+    BadParameters,
+    DepthMismatch,
+    MatchingFailed,
+    UniverseMismatch,
+)
+from vsdepth.intervals import Certificate, Interval, covers, verify_certificate
+from vsdepth.setcore import (
+    PointSet,
+    binomial,
+    format_set,
+    iter_size_masks,
+    make_set,
+    popcount_array,
+)
 
 
 class TestVeroneseIntervals:
@@ -118,6 +132,68 @@ class TestHasCoveredSuperset:
         for s in uncovered_sets(5, 1, 3, 3):
             assert not has_covered_superset(s, 5, 1, 3)
 
+    def test_against_definition(self):
+        # some S with D <= S lies in some [A, f_c(A)], tops from scalar f_delta
+        for c, d in ((3, 1), (4, 1), (3, 2)):
+            n = c * d + c - 1
+            bottoms = [
+                make_set(n, members)
+                for members in itertools.combinations(range(1, n + 1), d)
+            ]
+            ivs = [Interval(A, f_delta(n, A, Density(c, 1))) for A in bottoms]
+            for t in range(d + 1, d + c):
+                for members in itertools.combinations(range(1, n + 1), t):
+                    D = make_set(n, members)
+                    rest = [i for i in range(n) if not D.mask >> i & 1]
+                    expected = any(
+                        covers(iv, PointSet(n, D.mask | sum(1 << i for i in extra)))
+                        for size in range(len(rest) + 1)
+                        for extra in itertools.combinations(rest, size)
+                        for iv in ivs
+                    )
+                    assert has_covered_superset(D, n, d, c) == expected, (c, d, D)
+
+    def test_argument_checks(self):
+        with pytest.raises(BadParameters):
+            has_covered_superset(make_set(5, [1]), 5, 1, 3)
+        with pytest.raises(UniverseMismatch):
+            has_covered_superset(make_set(6, [1, 2]), 5, 1, 3)
+        with pytest.raises(BadParameters):
+            has_covered_superset(make_set(6, [1, 2]), 6, 1, 3)
+
+
+class TestChainSuccessorBits:
+    def test_adds_one_new_element(self):
+        for n in range(2, 12):
+            for d in range(1, (n + 1) // 2):
+                masks = np.fromiter(
+                    iter_size_masks(n, d), dtype=np.int64, count=binomial(n, d)
+                )
+                pos = chain_successor_bits(masks, n)
+                succ = masks | (np.int64(1) << pos.astype(np.int64))
+                assert np.all(masks & ~succ == 0)
+                assert np.all(popcount_array(succ) == d + 1)
+
+    def test_injective_per_size(self):
+        for n in range(2, 12):
+            for d in range(1, (n + 1) // 2):
+                masks = np.fromiter(
+                    iter_size_masks(n, d), dtype=np.int64, count=binomial(n, d)
+                )
+                pos = chain_successor_bits(masks, n)
+                succ = masks | (np.int64(1) << pos.astype(np.int64))
+                assert len(np.unique(succ)) == len(succ)
+
+    def test_majority_set_has_no_opening(self):
+        with pytest.raises(MatchingFailed):
+            chain_successor_bits(np.array([0b111], dtype=np.int64), 3)
+
+    def test_known_small_values(self):
+        masks = np.array([0b001, 0b010, 0b100], dtype=np.int64)
+        pos = chain_successor_bits(masks, 3)
+        succ = masks | (np.int64(1) << pos.astype(np.int64))
+        assert list(succ) == [0b011, 0b110, 0b101]
+
 
 class TestBaseConstructions:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -173,6 +249,26 @@ class TestCompose:
             for i in composed.explicit_intervals
         }
         assert ("{4}", "{1,2,3,4}") in pairs
+
+    def test_duplicated_p2_interval_raises(self):
+        p2 = construct_c2(1)
+        p2 = Certificate.from_arrays(
+            3, 1, 2,
+            np.append(p2.bottom_masks, p2.bottom_masks[0]),
+            np.append(p2.top_masks, p2.top_masks[0]),
+        )
+        with pytest.raises(DepthMismatch):
+            compose_plus1(full_ring_certificate(3, 2), p2)
+
+    def test_overlapping_p1_raises(self):
+        # [{}, [3]] and [{1}, [3]] share every set containing 1
+        p1 = Certificate.from_arrays(
+            3, 0, 2,
+            np.array([0b000, 0b001], dtype=np.int64),
+            np.array([0b111, 0b111], dtype=np.int64),
+        )
+        with pytest.raises(DepthMismatch):
+            compose_plus1(p1, construct_c2(1))
 
     def test_depth_precondition(self):
         # p1 one short of p2's depth is required, deeper p2 must fail

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from vsdepth.construct import construct_c2, construct_c3
+from vsdepth.construct import construct_c2, construct_c3, full_ring_certificate
 from vsdepth.errors import RefusesUnverified, TopTooSmall, UniverseMismatch
 from vsdepth.intervals import (
     Certificate,
@@ -141,6 +141,22 @@ class TestVerify:
             assert report.valid
             total = sum(report.rank_coverage[t] for t in range(d, k))
             assert total == sum(binomial(n, t) for t in range(d, k))
+
+    def test_single_high_dimensional_interval(self):
+        # one interval of dimension 17, alone and with a second one inside it
+        cert = full_ring_certificate(17)
+        report = verify_certificate(cert)
+        assert report.valid and report.achieved_depth == 17
+        assert report.rank_coverage[8] == binomial(17, 8)
+        overlapping = Certificate.from_arrays(
+            17, 0, 17,
+            np.append(cert.bottom_masks, 0b1),
+            np.append(cert.top_masks, cert.top_masks[0]),
+        )
+        report = verify_certificate(overlapping)
+        assert not report.valid
+        tag, witness = report.first_violation
+        assert tag == "overlap" and witness.members() == (1,)
 
     def test_trivial_only_certificate(self):
         empty = np.empty(0, dtype=np.int64)

@@ -1,11 +1,16 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vsdepth.errors import ElementOutOfRange, UniverseMismatch, UniverseOutOfRange
 from vsdepth.setcore import (
     PointSet,
     binomial,
     circ_block,
+    interval_members,
     iter_size_masks,
     make_set,
     parse_set,
@@ -14,7 +19,7 @@ from vsdepth.setcore import (
     size_masks_array,
 )
 
-from oracles import pascal_binomial
+from oracles import interval_members_naive, pascal_binomial
 
 
 class TestMakeSet:
@@ -132,3 +137,34 @@ class TestSetLiteral:
 def test_popcount_array():
     masks = np.array([0, 1, 0b1011, (1 << 40) - 1], dtype=np.int64)
     assert popcount_array(masks).tolist() == [0, 1, 3, 40]
+
+
+class TestIntervalMembers:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        groups=st.lists(
+            st.tuples(st.integers(0, 20), st.integers(1, 100)), max_size=4
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(groups=[], seed=0)
+    @example(groups=[(3, 63), (3, 64), (0, 70), (17, 1), (20, 1)], seed=1)
+    def test_matches_naive_enumeration(self, groups, seed):
+        # groups of (dimension, interval count), interleaved; high
+        # dimensions keep few intervals so the naive oracle stays quick
+        rng = random.Random(seed)
+        pairs = []
+        for dim, count in groups:
+            for _ in range(min(count, max(1, (1 << 16) >> dim))):
+                bits = rng.sample(range(63), dim + rng.randint(0, 63 - dim))
+                bottom = sum(1 << i for i in bits[dim:])
+                pairs.append((bottom, bottom | sum(1 << i for i in bits[:dim])))
+        rng.shuffle(pairs)
+        bottoms = np.array([b for b, _ in pairs], dtype=np.int64)
+        tops = np.array([t for _, t in pairs], dtype=np.int64)
+        got = interval_members(bottoms, tops)
+        assert got.dtype == np.int64
+        want = np.array(
+            interval_members_naive(bottoms.tolist(), tops.tolist()), dtype=np.int64
+        )
+        assert np.array_equal(np.sort(got), np.sort(want))
