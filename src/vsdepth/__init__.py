@@ -20,8 +20,6 @@ from .construct import (
     construct_c4,
     construct_general,
     has_covered_superset,
-    uncovered_sets,
-    veronese_intervals,
 )
 from .intervals import (
     Certificate,
@@ -30,12 +28,11 @@ from .intervals import (
     covers,
     disjoint,
     format_certificate,
-    new_certificate,
     parse_certificate,
     render_stanley,
     verify_certificate,
 )
-from .setcore import PointSet, binomial, circ_block, make_set, sets_of_size
+from .setcore import PointSet, binomial, circ_block, make_set
 from .solver import (
     SearchBudget,
     SolveResult,
@@ -74,12 +71,8 @@ __all__ = [
     "format_certificate",
     "has_covered_superset",
     "make_set",
-    "new_certificate",
     "parse_certificate",
     "render_stanley",
-    "sets_of_size",
-    "uncovered_sets",
     "verify_block_structure",
     "verify_certificate",
-    "veronese_intervals",
 ]

@@ -40,10 +40,12 @@ class Density:
     @classmethod
     def parse(cls, text: str) -> "Density":
         """Parse ``p/q`` or the integer shorthand ``c``."""
-        if "/" in text:
-            p_txt, q_txt = text.split("/", 1)
-            return cls(int(p_txt), int(q_txt))
-        return cls(int(text), 1)
+        parts = text.split("/", 1)
+        try:
+            p, q = int(parts[0]), int(parts[1]) if len(parts) == 2 else 1
+        except ValueError as exc:
+            raise DensityOutOfRange(f"malformed density {text!r}") from exc
+        return cls(p, q)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}" if self.q != 1 else str(self.p)

@@ -1,14 +1,16 @@
-"""Command-line frontend.
+"""Command-line frontend; ``python -m vsdepth`` runs it too.
 
-Exit codes: 0 success / valid, 1 invalid certificate or disproved claim,
-2 usage error.  All output is deterministic in default (single-worker)
-mode.
+Exit codes: 0 success / valid / proved; 1 invalid certificate, disproved
+claim or scan discrepancy; 2 usage error (bad arguments, parameters out
+of range, a malformed or unreadable file); 3 internal error (any other
+exception, whose traceback goes to stderr).  All output is deterministic
+in default (single-worker) mode.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import traceback
 from typing import Optional
 
 from . import blocks as blocks_mod
@@ -21,7 +23,7 @@ from .intervals import (
     render_stanley,
     verify_certificate,
 )
-from .setcore import format_set, parse_set
+from .setcore import PointSet, format_masks, parse_masks
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -34,17 +36,14 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 def _cmd_blocks(args: argparse.Namespace) -> int:
     n = args.n
-    A = parse_set(args.set, n)
+    A = PointSet(n, int(parse_masks([args.set], n)[0]))
     delta = blocks_mod.Density.parse(args.density)
     bs = blocks_mod.block_structure(n, A, delta)
-    block_txt = ",".join(format_set(b.to_set()) for b in bs.blocks)
-    gap_txt = ",".join(
-        format_set(g.to_set()) if g is not None else "{}" for g in bs.gaps
-    )
-    f_set = A | bs.gap_set()
-    print(f"blocks {block_txt}")
-    print(f"gaps {gap_txt}")
-    print(f"f {format_set(f_set)}")
+    blocks = format_masks([b.mask for b in bs.blocks])
+    gaps = format_masks([g.mask if g is not None else 0 for g in bs.gaps])
+    print(f"blocks {','.join(blocks)}")
+    print(f"gaps {','.join(gaps)}")
+    print(f"f {A | bs.gap_set()}")
     return 0
 
 
@@ -100,8 +99,7 @@ def _cmd_sdepth(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     budget = solver_mod.SearchBudget(wall_time_limit=args.budget_secs)
-    workers = int(os.environ.get("VSDEPTH_THREADS", "1"))
-    rows = solver_mod.conjecture_scan(args.max_n, budget, workers=workers)
+    rows = solver_mod.conjecture_scan(args.max_n, budget)
     print(f"{'n':>3} {'d':>3} {'conjectured':>11} {'proved':>6} status")
     bad = False
     for row in rows:
@@ -170,12 +168,14 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except VsdepthError as exc:
+    except (VsdepthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # exit 1 is a verdict, so a crash must never end with it
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

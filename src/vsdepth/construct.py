@@ -17,15 +17,14 @@ import numpy as np
 
 from .blocks import f_int_masks
 from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismatch
-from .intervals import Certificate, Interval, verify_certificate
-from .setcore import PointSet, interval_members, popcount_array, size_masks_array
-
-
-def _check_base_params(n: int, d: int, c: int) -> None:
-    if c < 2 or d < 1:
-        raise BadParameters(f"need c >= 2 and d >= 1, got c={c}, d={d}")
-    if n != c * d + c - 1:
-        raise BadParameters(f"n={n} is not cd+c-1={c * d + c - 1} for c={c}, d={d}")
+from .intervals import Certificate, verify_certificate
+from .setcore import (
+    MAX_UNIVERSE,
+    PointSet,
+    interval_members,
+    popcount_array,
+    size_masks_array,
+)
 
 
 def _veronese_arrays(n: int, d: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -34,36 +33,19 @@ def _veronese_arrays(n: int, d: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     return bottoms, tops
 
 
-def veronese_intervals(n: int, d: int, c: int) -> list[Interval]:
-    """The C(n,d) intervals [A, f_c(A)] in colex order of A."""
-    _check_base_params(n, d, c)
-    bottoms, tops = _veronese_arrays(n, d, c)
-    return [
-        Interval(PointSet(n, int(b)), PointSet(n, int(t)))
-        for b, t in zip(bottoms, tops)
-    ]
-
-
-def _covered_masks_at_rank(
-    bottoms: np.ndarray, tops: np.ndarray, d: int, c: int, t: int
-) -> np.ndarray:
-    """Distinct rank-t sets covered by the intervals [A, f_c(A)]."""
+def _uncovered_masks(
+    n: int, bottoms: np.ndarray, tops: np.ndarray, ranks
+) -> list[np.ndarray]:
+    """Per rank t in ``ranks``, the t-sets that no interval [bottom, top]
+    covers, in colex order."""
     members = interval_members(bottoms, tops)
-    return np.unique(members[popcount_array(members) == t])
-
-
-def _uncovered_masks(n: int, d: int, c: int, t: int) -> np.ndarray:
-    bottoms, tops = _veronese_arrays(n, d, c)
-    covered = _covered_masks_at_rank(bottoms, tops, d, c, t)
-    return np.setdiff1d(size_masks_array(n, t), covered, assume_unique=True)
-
-
-def uncovered_sets(n: int, d: int, c: int, t: int) -> list[PointSet]:
-    """All t-sets covered by no interval [A, f_c(A)], colex order."""
-    _check_base_params(n, d, c)
-    if not d + 1 <= t <= d + c - 1:
-        raise BadParameters(f"t={t} not in {d + 1}..{d + c - 1}")
-    return [PointSet(n, int(m)) for m in _uncovered_masks(n, d, c, t)]
+    sizes = popcount_array(members)
+    return [
+        np.setdiff1d(
+            size_masks_array(n, t), np.unique(members[sizes == t]), assume_unique=True
+        )
+        for t in ranks
+    ]
 
 
 def has_covered_superset(D: PointSet, n: int, d: int, c: int) -> bool:
@@ -72,7 +54,10 @@ def has_covered_superset(D: PointSet, n: int, d: int, c: int) -> bool:
     Every covered set lies under some top f_c(A), and tops themselves are
     covered, so it is enough to look for a top containing D.
     """
-    _check_base_params(n, d, c)
+    if c < 2 or d < 1 or n != c * d + c - 1:
+        raise BadParameters(
+            f"need c >= 2, d >= 1 and n = cd+c-1, got n={n}, c={c}, d={d}"
+        )
     if D.n != n:
         raise UniverseMismatch(f"universe {D.n} != n={n}")
     if D.size < d + 1:
@@ -141,16 +126,7 @@ def construct_c4(d: int) -> Certificate:
         raise BadParameters(f"d={d} must be >= 1")
     n = 4 * d + 3
     bottoms, tops = _veronese_arrays(n, d, 4)
-    v1 = np.setdiff1d(
-        size_masks_array(n, d + 2),
-        _covered_masks_at_rank(bottoms, tops, d, 4, d + 2),
-        assume_unique=True,
-    )
-    v2 = np.setdiff1d(
-        size_masks_array(n, d + 3),
-        _covered_masks_at_rank(bottoms, tops, d, 4, d + 3),
-        assume_unique=True,
-    )
+    v1, v2 = _uncovered_masks(n, bottoms, tops, (d + 2, d + 3))
     matched = v1 | (np.int64(1) << chain_successor_bits(v1, n).astype(np.int64))
     if len(np.unique(matched)) != len(v1):
         raise MatchingFailed("successor rule failed to be injective on V1")
@@ -216,6 +192,11 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
 _BASE_BUILDERS = {2: construct_c2, 3: construct_c3, 4: construct_c4}
 
 
+def _check_degree(n: int, d: int) -> None:
+    if not 1 <= d <= n <= MAX_UNIVERSE:
+        raise BadParameters(f"need 1 <= d <= n <= {MAX_UNIVERSE}, got d={d}, n={n}")
+
+
 def construct_general(n: int, d: int) -> Certificate:
     """Certified lower-bound certificate for arbitrary 1 <= d <= n <= 63.
 
@@ -224,8 +205,7 @@ def construct_general(n: int, d: int) -> Certificate:
     plus-one composition; the degree-0 leg of each composition is the
     full-ring interval.
     """
-    if not 1 <= d <= n:
-        raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
+    _check_degree(n, d)
     memo: dict[tuple[int, int], Certificate] = {}
 
     def build(m: int, e: int) -> Certificate:
@@ -269,8 +249,7 @@ def bounds(n: int, d: int) -> Bounds:
     for d >= ceil(n/2) (where it collapses to d), and d = 1 is the known
     ceil(n/2) case.
     """
-    if not 1 <= d <= n:
-        raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
+    _check_degree(n, d)
     upper = d + (n - d) // (d + 1)
     lower = max(d, d + min((n + 1) // (d + 1), 4) - 1)
     known: Optional[int] = None

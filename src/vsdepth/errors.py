@@ -29,10 +29,6 @@ class BottomTooSmall(VsdepthError):
     pass
 
 
-class TopTooSmall(VsdepthError):
-    pass
-
-
 class RefusesUnverified(VsdepthError):
     pass
 

@@ -13,22 +13,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     BottomTooSmall,
     CertificateFormatError,
+    ElementOutOfRange,
     RefusesUnverified,
-    TopTooSmall,
     UniverseMismatch,
 )
 from .setcore import (
+    MAX_UNIVERSE,
     PointSet,
-    format_set,
+    format_masks,
     interval_members,
-    parse_set,
+    parse_masks,
     popcount_array,
     size_masks_array,
 )
@@ -96,7 +97,6 @@ class Certificate:
     claimed_depth: int
     bottom_masks: np.ndarray
     top_masks: np.ndarray
-    trivial_completion: bool = True
 
     @classmethod
     def from_arrays(
@@ -110,29 +110,6 @@ class Certificate:
     @property
     def num_explicit(self) -> int:
         return len(self.bottom_masks)
-
-    def iter_intervals(self) -> Iterator[Interval]:
-        n = self.universe_size
-        for b, t in zip(self.bottom_masks, self.top_masks):
-            yield Interval(PointSet(n, int(b)), PointSet(n, int(t)))
-
-    @property
-    def explicit_intervals(self) -> list[Interval]:
-        return list(self.iter_intervals())
-
-
-def new_certificate(n: int, d: int, k: int, intervals: list[Interval]) -> Certificate:
-    """Certificate from explicit intervals; bottoms >= d, tops >= k."""
-    for iv in intervals:
-        if iv.n != n:
-            raise UniverseMismatch(f"interval universe {iv.n} != n={n}")
-        if iv.bottom.size < d:
-            raise BottomTooSmall(f"bottom {iv.bottom} smaller than d={d}")
-        if iv.top.size < k:
-            raise TopTooSmall(f"top {iv.top} smaller than k={k}")
-    bottoms = np.array([iv.bottom.mask for iv in intervals], dtype=np.int64)
-    tops = np.array([iv.top.mask for iv in intervals], dtype=np.int64)
-    return Certificate.from_arrays(n, d, k, bottoms, tops)
 
 
 @dataclass
@@ -239,24 +216,39 @@ def render_stanley(cert: Certificate) -> str:
 def format_certificate(cert: Certificate) -> str:
     """Canonical line-oriented certificate text (round-trip stable)."""
     n = cert.universe_size
-    lines = [
-        FILE_HEADER,
-        f"n={n} d={cert.min_generator_size} k={cert.claimed_depth}",
-    ]
     order = np.lexsort((cert.top_masks, cert.bottom_masks))
-    for i in order:
-        b = format_set(PointSet(n, int(cert.bottom_masks[i])))
-        t = format_set(PointSet(n, int(cert.top_masks[i])))
-        lines.append(f"interval {b} {t}")
-    lines.append("trivial-completion")
-    return "\n".join(lines) + "\n"
+    bottoms, tops = cert.bottom_masks[order], cert.top_masks[order]
+    if bool(np.any((bottoms | tops) >> n)):
+        raise ElementOutOfRange(f"an interval has members outside 1..{n}")
+    # spelled in slices so that only one slice's literals exist at a time
+    step = 1 << 16
+    body = "".join(
+        "".join(map(
+            "interval {} {}\n".format,
+            format_masks(bottoms[i:i + step]),
+            format_masks(tops[i:i + step]),
+        ))
+        for i in range(0, len(order), step)
+    )
+    return (
+        f"{FILE_HEADER}\nn={n} d={cert.min_generator_size} k={cert.claimed_depth}\n"
+        f"{body}trivial-completion\n"
+    )
 
 
-def write_certificate(cert: Certificate, fh: TextIO) -> None:
-    fh.write(format_certificate(cert))
+def _interval_literals(lines: list[str]):
+    """The bottom and top literal of each interval line, in turn."""
+    for line in lines:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "interval":
+            raise CertificateFormatError(f"bad interval line: {line!r}")
+        yield parts[1]
+        yield parts[2]
 
 
 def parse_certificate(text: str) -> Certificate:
+    """Certificate from its text; refuses parameters outside
+    1 <= d <= k <= n <= 63 and malformed lines or set literals."""
     lines = text.splitlines()
     if len(lines) < 3 or lines[0] != FILE_HEADER:
         raise CertificateFormatError("missing VSDEPTH-CERT v1 header")
@@ -265,18 +257,11 @@ def parse_certificate(text: str) -> Certificate:
         n, d, k = int(fields["n"]), int(fields["d"]), int(fields["k"])
     except (ValueError, KeyError) as exc:
         raise CertificateFormatError(f"bad parameter line: {lines[1]!r}") from exc
+    if not 1 <= d <= k <= n <= MAX_UNIVERSE:
+        raise CertificateFormatError(
+            f"parameters outside 1 <= d <= k <= n <= {MAX_UNIVERSE}: {lines[1]!r}"
+        )
     if lines[-1] != "trivial-completion":
         raise CertificateFormatError("missing trivial-completion terminator")
-    bottoms, tops = [], []
-    for line in lines[2:-1]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "interval":
-            raise CertificateFormatError(f"bad interval line: {line!r}")
-        bottoms.append(parse_set(parts[1], n).mask)
-        tops.append(parse_set(parts[2], n).mask)
-    cert = Certificate.from_arrays(
-        n, d, k,
-        np.array(bottoms, dtype=np.int64),
-        np.array(tops, dtype=np.int64),
-    )
-    return cert
+    masks = parse_masks(_interval_literals(lines[2:-1]), n)
+    return Certificate.from_arrays(n, d, k, masks[0::2], masks[1::2])

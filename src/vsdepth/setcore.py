@@ -8,6 +8,7 @@ numeric order of the masks.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -83,7 +84,7 @@ class PointSet:
     __le__ = issubset
 
     def __str__(self) -> str:
-        return format_set(self)
+        return format_masks([self.mask])[0]
 
 
 def make_set(n: int, elems: list[int] | tuple[int, ...]) -> PointSet:
@@ -97,24 +98,72 @@ def make_set(n: int, elems: list[int] | tuple[int, ...]) -> PointSet:
     return PointSet(n, mask)
 
 
-def format_set(s: PointSet) -> str:
-    """Canonical set literal: ``{a,b,c}`` ascending, no whitespace."""
-    return "{" + ",".join(str(i) for i in s.members()) + "}"
+@functools.cache
+def _literal_parts(j: int) -> np.ndarray:
+    """Entry v + 256 * lower spells the members held by byte j of a mask
+    when that byte has value v; lower = 1 adds the comma that separates
+    them from members in the bytes below."""
+    parts = [",".join(str(8 * j + i + 1) for i in range(8) if v >> i & 1)
+             for v in range(256)]
+    return np.array(parts + ["," + p if p else "" for p in parts], dtype=object)
 
 
-def parse_set(text: str, n: int) -> PointSet:
-    """Parse the canonical set literal into a PointSet over [n]."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ElementOutOfRange(f"malformed set literal {text!r}")
-    body = text[1:-1]
-    if not body:
-        return PointSet(n, 0)
+def format_masks(masks) -> list[str]:
+    """Canonical set literals ``{a,b,c}``, ascending, no whitespace.
+
+    Each mask is spelled byte by byte through ``_literal_parts``, one
+    array operation per byte over all masks at once.
+    """
+    rest = np.asarray(masks, dtype=np.int64)
+    out = np.full(rest.shape, "{", dtype=object)
+    lower = np.zeros(rest.shape, dtype=bool)
+    for j in range(8):
+        if not rest.any():
+            break
+        byte = rest & 255
+        out += _literal_parts(j)[byte + 256 * lower]
+        lower |= byte != 0
+        rest = rest >> 8
+    return (out + "}").tolist()
+
+
+def parse_masks(literals, n: int) -> np.ndarray:
+    """Masks over [n] of set literals, the inverse of ``format_masks``.
+
+    Surrounding whitespace is ignored, members may come in any order and
+    may repeat; anything else that is not a ``{...}`` of integers in
+    1..n raises ``ElementOutOfRange``.  ``literals`` may be any iterable;
+    it is read once.
+    """
+    _check_universe(n)
+    bits = {str(i + 1): 1 << i for i in range(n)}
+
+    def masks():
+        for text in literals:
+            text = text.strip()
+            if not (text.startswith("{") and text.endswith("}")):
+                raise ElementOutOfRange(f"malformed set literal {text!r}")
+            mask = 0
+            if len(text) > 2:
+                for tok in text[1:-1].split(","):
+                    bit = bits.get(tok)
+                    if bit is None:
+                        bit = 1 << (_element(tok, text, n) - 1)
+                    mask |= bit
+            yield mask
+
+    return np.fromiter(masks(), dtype=np.int64)
+
+
+def _element(tok: str, text: str, n: int) -> int:
+    """A member written other than canonically, such as ``03``."""
     try:
-        elems = [int(tok) for tok in body.split(",")]
+        e = int(tok)
     except ValueError as exc:
         raise ElementOutOfRange(f"malformed set literal {text!r}") from exc
-    return make_set(n, elems)
+    if not 1 <= e <= n:
+        raise ElementOutOfRange(f"element {e} not in 1..{n}")
+    return e
 
 
 def binomial(n: int, k: int) -> int:
@@ -142,29 +191,6 @@ def circ_mask(n: int, i: int, j: int) -> int:
         return ((1 << (j - i + 1)) - 1) << (i - 1)
     full = (1 << n) - 1
     return full & ~circ_mask(n, j + 1, i - 1) if j + 1 <= i - 1 else full
-
-
-def sets_of_size(n: int, t: int) -> list[PointSet]:
-    """All C(n,t) t-subsets of [n] in colexicographic order."""
-    _check_universe(n)
-    if not 0 <= t <= n:
-        raise ElementOutOfRange(f"subset size {t} not in 0..{n}")
-    return [PointSet(n, int(m)) for m in iter_size_masks(n, t)]
-
-
-def iter_size_masks(n: int, t: int) -> Iterator[int]:
-    """Masks of all t-subsets of [n] in colex (= numeric) order."""
-    if t == 0:
-        yield 0
-        return
-    m = (1 << t) - 1
-    limit = 1 << n
-    while m < limit:
-        yield m
-        # Gosper's hack: next mask with the same popcount.
-        low = m & -m
-        ripple = m + low
-        m = ripple | ((m ^ ripple) >> (low.bit_length() + 1))
 
 
 def size_masks_array(n: int, t: int) -> np.ndarray:

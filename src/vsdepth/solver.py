@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadParameters
 from .intervals import Certificate, verify_certificate
-from .setcore import iter_size_masks
+from .setcore import MAX_UNIVERSE, size_masks_array
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class _Searcher:
         self.nodes = 0
         self.deadline = time.monotonic() + budget.wall_time_limit
         self.occupied = bytearray(1 << n)
-        self.rank_lists = {r: list(iter_size_masks(n, r)) for r in range(d, k)}
+        self.rank_lists = {r: size_masks_array(n, r).tolist() for r in range(d, k)}
         self.uncovered = {r: len(self.rank_lists[r]) for r in range(d, k)}
         self.chosen: list[tuple[int, int]] = []
         # C(k-r0, r-r0) table for the counting prune
@@ -72,10 +72,10 @@ class _Searcher:
         }
 
     def _tick(self) -> None:
+        # one node can take a sizeable fraction of a second at n near 20,
+        # so the deadline is read at every node
         self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise _BudgetExhausted
-        if self.nodes % 1024 == 0 and time.monotonic() > self.deadline:
+        if self.nodes > self.budget.max_nodes or time.monotonic() > self.deadline:
             raise _BudgetExhausted
 
     def _least_uncovered(self) -> Optional[tuple[int, int]]:
@@ -150,8 +150,10 @@ class _Searcher:
 
 def certify_at_least(n: int, d: int, k: int, budget: SearchBudget) -> SolveResult:
     """Decide whether an interval partition with min top size >= k exists."""
-    if not (1 <= d <= k <= n):
-        raise BadParameters(f"need 1 <= d <= k <= n, got n={n}, d={d}, k={k}")
+    if not (1 <= d <= k <= n <= MAX_UNIVERSE):
+        raise BadParameters(
+            f"need 1 <= d <= k <= n <= {MAX_UNIVERSE}, got n={n}, d={d}, k={k}"
+        )
     searcher = _Searcher(n, d, k, budget)
     try:
         found = searcher.search()
@@ -218,7 +220,10 @@ def conjecture_scan(
     if not 1 <= max_n <= 63:
         raise BadParameters(f"max_n={max_n} not in 1..63")
     if workers is None:
-        workers = int(os.environ.get("VSDEPTH_THREADS", "1"))
+        try:
+            workers = int(os.environ.get("VSDEPTH_THREADS", "1"))
+        except ValueError as exc:
+            raise BadParameters("VSDEPTH_THREADS must be an integer") from exc
     cases = [
         (n, d, budget.max_nodes, budget.wall_time_limit)
         for n in range(1, max_n + 1)

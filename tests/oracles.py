@@ -81,6 +81,26 @@ def intervals_share_member(i1: Interval, i2: Interval) -> bool:
     return False
 
 
+def iter_size_masks(n: int, t: int):
+    """Masks of all t-subsets of [n] in colex (= numeric) order, by
+    Gosper's hack."""
+    if t == 0:
+        yield 0
+        return
+    m = (1 << t) - 1
+    limit = 1 << n
+    while m < limit:
+        yield m
+        low = m & -m
+        ripple = m + low
+        m = ripple | ((m ^ ripple) >> (low.bit_length() + 1))
+
+
+def set_literal_naive(mask: int) -> str:
+    """The canonical ``{a,b,c}`` literal, one bit at a time."""
+    return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
+
+
 def interval_members_naive(bottoms, tops) -> list[int]:
     """Every member of every interval by descending submask enumeration."""
     out = []

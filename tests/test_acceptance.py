@@ -18,7 +18,6 @@ from vsdepth.construct import (
     construct_c3,
     construct_c4,
     construct_general,
-    veronese_intervals,
 )
 from vsdepth.intervals import verify_certificate
 from vsdepth.setcore import PointSet, binomial, popcount_array, size_masks_array
@@ -174,14 +173,10 @@ def _intervals_disjoint(n: int, d: int, c: int) -> bool:
 
 
 def _uncovered_by_rank(n: int, d: int, c: int) -> dict[int, np.ndarray]:
-    from vsdepth.construct import _covered_masks_at_rank, _veronese_arrays
+    from vsdepth.construct import _uncovered_masks, _veronese_arrays
 
-    bottoms, tops = _veronese_arrays(n, d, c)
-    out = {}
-    for t in range(d + 1, d + c):
-        covered = _covered_masks_at_rank(bottoms, tops, d, c, t)
-        out[t] = np.setdiff1d(size_masks_array(n, t), covered, assume_unique=True)
-    return out
+    ranks = range(d + 1, d + c)
+    return dict(zip(ranks, _uncovered_masks(n, *_veronese_arrays(n, d, c), ranks)))
 
 
 def _uncovered_closed_upward(n: int, d: int, c: int) -> bool:

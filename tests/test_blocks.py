@@ -33,6 +33,9 @@ class TestDensity:
     def test_parse(self):
         assert Density.parse("5/2") == Density(5, 2)
         assert Density.parse("3") == Density(3, 1)
+        for text in ("x", "3/", "a/2", "3/2/1"):
+            with pytest.raises(DensityOutOfRange):
+                Density.parse(text)
 
     def test_below_one_rejected(self):
         with pytest.raises(DensityOutOfRange):

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from vsdepth import solver
 from vsdepth.cli import run
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def out_lines(capsys):
@@ -22,6 +29,10 @@ class TestBlocks:
 
     def test_bad_density_is_usage_error(self, capsys):
         assert run(["blocks", "--n", "5", "--set", "{1}", "--density", "1/2"]) == 2
+
+    def test_malformed_density_is_usage_error(self, capsys):
+        assert run(["blocks", "--n", "5", "--set", "{1}", "--density", "x"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestConstructVerifyRender:
@@ -53,6 +64,18 @@ class TestConstructVerifyRender:
 
     def test_missing_file(self, capsys):
         assert run(["verify", "--cert", "/nonexistent/cert.txt"]) == 2
+
+    @pytest.mark.parametrize("params", ["n=3 d=5 k=5", "n=70 d=2 k=2", "n=4 d=2 k=1"])
+    def test_parameters_outside_domain(self, params, tmp_path, capsys):
+        cert_path = tmp_path / "cert.txt"
+        cert_path.write_text(f"VSDEPTH-CERT v1\n{params}\ntrivial-completion\n")
+        assert run(["verify", "--cert", str(cert_path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_universe_above_63_refused(self, capsys):
+        assert run(["construct", "--n", "64", "--d", "63"]) == 2
+        assert run(["bounds", "--n", "64", "--d", "3"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_stdout_output(self, capsys):
         assert run(["construct", "--n", "3", "--d", "1"]) == 0
@@ -107,3 +130,26 @@ class TestScanAndUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(["bounds", "--n", "3"]) == 2
+
+    def test_bad_worker_count(self, monkeypatch, capsys):
+        monkeypatch.setenv("VSDEPTH_THREADS", "two")
+        assert run(["scan", "--max-n", "2"]) == 2
+
+    def test_crash_is_internal_error(self, monkeypatch, capsys):
+        def crash(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(solver, "certify_at_least", crash)
+        assert run(["sdepth", "--n", "5", "--d", "1", "--k", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RecursionError" in err
+
+    def test_python_m_vsdepth(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vsdepth", "bounds", "--n", "11", "--d", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "lower=5 upper=5 exact=5 conjectured=5\n"

@@ -5,6 +5,8 @@ import pytest
 
 from vsdepth.blocks import Density, f_delta
 from vsdepth.construct import (
+    _uncovered_masks,
+    _veronese_arrays,
     bounds,
     chain_successor_bits,
     compose_plus1,
@@ -14,8 +16,6 @@ from vsdepth.construct import (
     construct_general,
     full_ring_certificate,
     has_covered_superset,
-    uncovered_sets,
-    veronese_intervals,
 )
 from vsdepth.errors import (
     BadParameters,
@@ -27,18 +27,26 @@ from vsdepth.intervals import Certificate, Interval, covers, verify_certificate
 from vsdepth.setcore import (
     PointSet,
     binomial,
-    format_set,
-    iter_size_masks,
+    format_masks,
     make_set,
     popcount_array,
+    size_masks_array,
 )
+
+
+def veronese_literals(n, d, c):
+    """The intervals [A, f_c(A)] as literal pairs, colex order of A."""
+    return list(zip(*map(format_masks, _veronese_arrays(n, d, c))))
+
+
+def uncovered(n, d, c, t):
+    """The t-sets covered by no interval [A, f_c(A)]."""
+    return _uncovered_masks(n, *_veronese_arrays(n, d, c), [t])[0]
 
 
 class TestVeroneseIntervals:
     def test_n5_d1(self):
-        ivs = veronese_intervals(5, 1, 3)
-        got = [(format_set(i.bottom), format_set(i.top)) for i in ivs]
-        assert got == [
+        assert veronese_literals(5, 1, 3) == [
             ("{1}", "{1,4,5}"),
             ("{2}", "{1,2,5}"),
             ("{3}", "{1,2,3}"),
@@ -47,19 +55,14 @@ class TestVeroneseIntervals:
         ]
 
     def test_n3_d1(self):
-        ivs = veronese_intervals(3, 1, 2)
-        got = [(format_set(i.bottom), format_set(i.top)) for i in ivs]
+        got = veronese_literals(3, 1, 2)
         assert got == [("{1}", "{1,3}"), ("{2}", "{1,2}"), ("{3}", "{2,3}")]
 
     def test_n7_d1_tops(self):
-        ivs = veronese_intervals(7, 1, 4)
-        assert format_set(ivs[0].top) == "{1,5,6,7}"
-        assert format_set(ivs[2].top) == "{1,2,3,7}"
-        assert all(i.top.size == 4 for i in ivs)
-
-    def test_bad_params(self):
-        with pytest.raises(BadParameters):
-            veronese_intervals(6, 1, 3)
+        got = veronese_literals(7, 1, 4)
+        assert got[0][1] == "{1,5,6,7}"
+        assert got[2][1] == "{1,2,3,7}"
+        assert np.all(popcount_array(_veronese_arrays(7, 1, 4)[1]) == 4)
 
     def test_counting_identity(self):
         # (c-1) C(n,d) = C(n,d+1) whenever n = cd+c-1
@@ -74,13 +77,13 @@ class TestVeroneseIntervals:
         # each (d+1)-set inside exactly one interval
         for c, d in ((2, 2), (3, 2), (4, 2)):
             n = c * d + c - 1
-            ivs = veronese_intervals(n, d, c)
+            bottoms, tops = _veronese_arrays(n, d, c)
             hits = {}
-            for iv in ivs:
-                free = iv.top.mask & ~iv.bottom.mask
+            for bottom, top in zip(bottoms.tolist(), tops.tolist()):
+                free = top & ~bottom
                 for bit in range(n):
                     if (free >> bit) & 1:
-                        m = iv.bottom.mask | (1 << bit)
+                        m = bottom | (1 << bit)
                         hits[m] = hits.get(m, 0) + 1
             assert len(hits) == binomial(n, d + 1)
             assert set(hits.values()) == {1}
@@ -88,36 +91,29 @@ class TestVeroneseIntervals:
 
 class TestUncovered:
     def test_n5_rank3(self):
-        got = [format_set(s) for s in uncovered_sets(5, 1, 3, 3)]
+        got = format_masks(uncovered(5, 1, 3, 3))
         assert got == ["{1,2,4}", "{1,3,4}", "{1,3,5}", "{2,3,5}", "{2,4,5}"]
 
     def test_n5_rank2_empty(self):
-        assert uncovered_sets(5, 1, 3, 2) == []
+        assert len(uncovered(5, 1, 3, 2)) == 0
 
     def test_n7_counts(self):
-        assert len(uncovered_sets(7, 1, 4, 3)) == 14
-        assert len(uncovered_sets(7, 1, 4, 4)) == 28
+        got = _uncovered_masks(7, *_veronese_arrays(7, 1, 4), [3, 4])
+        assert [len(masks) for masks in got] == [14, 28]
 
     def test_against_definition(self):
         # covered iff A subset of D subset of f_c(A) for some d-set A
         for c, d in ((3, 1), (4, 1), (3, 2)):
             n = c * d + c - 1
-            ivs = veronese_intervals(n, d, c)
-            for t in range(d + 1, d + c):
-                expected = set()
+            bottoms, tops = _veronese_arrays(n, d, c)
+            ranks = range(d + 1, d + c)
+            for t, got in zip(ranks, _uncovered_masks(n, bottoms, tops, ranks)):
+                expected = []
                 for members in itertools.combinations(range(1, n + 1), t):
-                    D = make_set(n, members)
-                    if not any(
-                        iv.bottom.issubset(D) and D.issubset(iv.top)
-                        for iv in ivs
-                    ):
-                        expected.add(D.mask)
-                got = {s.mask for s in uncovered_sets(n, d, c, t)}
-                assert got == expected
-
-    def test_rank_range_enforced(self):
-        with pytest.raises(BadParameters):
-            uncovered_sets(5, 1, 3, 4)
+                    D = make_set(n, members).mask
+                    if not np.any((bottoms & ~D == 0) & (D & ~tops == 0)):
+                        expected.append(D)
+                assert got.tolist() == sorted(expected)
 
 
 class TestHasCoveredSuperset:
@@ -129,8 +125,8 @@ class TestHasCoveredSuperset:
 
     def test_uncovered_triples_have_none(self):
         # uncovered top-rank sets have no room for a covered superset
-        for s in uncovered_sets(5, 1, 3, 3):
-            assert not has_covered_superset(s, 5, 1, 3)
+        for m in uncovered(5, 1, 3, 3).tolist():
+            assert not has_covered_superset(PointSet(5, m), 5, 1, 3)
 
     def test_against_definition(self):
         # some S with D <= S lies in some [A, f_c(A)], tops from scalar f_delta
@@ -166,9 +162,7 @@ class TestChainSuccessorBits:
     def test_adds_one_new_element(self):
         for n in range(2, 12):
             for d in range(1, (n + 1) // 2):
-                masks = np.fromiter(
-                    iter_size_masks(n, d), dtype=np.int64, count=binomial(n, d)
-                )
+                masks = size_masks_array(n, d)
                 pos = chain_successor_bits(masks, n)
                 succ = masks | (np.int64(1) << pos.astype(np.int64))
                 assert np.all(masks & ~succ == 0)
@@ -177,9 +171,7 @@ class TestChainSuccessorBits:
     def test_injective_per_size(self):
         for n in range(2, 12):
             for d in range(1, (n + 1) // 2):
-                masks = np.fromiter(
-                    iter_size_masks(n, d), dtype=np.int64, count=binomial(n, d)
-                )
+                masks = size_masks_array(n, d)
                 pos = chain_successor_bits(masks, n)
                 succ = masks | (np.int64(1) << pos.astype(np.int64))
                 assert len(np.unique(succ)) == len(succ)
@@ -244,10 +236,8 @@ class TestCompose:
         assert composed.min_generator_size == 1
         report = verify_certificate(composed)
         assert report.valid and report.achieved_depth == 2
-        pairs = {
-            (format_set(i.bottom), format_set(i.top))
-            for i in composed.explicit_intervals
-        }
+        pairs = set(zip(format_masks(composed.bottom_masks),
+                        format_masks(composed.top_masks)))
         assert ("{4}", "{1,2,3,4}") in pairs
 
     def test_duplicated_p2_interval_raises(self):
@@ -299,6 +289,8 @@ class TestConstructGeneral:
     def test_bad_params(self):
         with pytest.raises(BadParameters):
             construct_general(3, 4)
+        with pytest.raises(BadParameters):
+            construct_general(64, 63)
 
 
 class TestBounds:
@@ -327,3 +319,5 @@ class TestBounds:
     def test_bad_params(self):
         with pytest.raises(BadParameters):
             bounds(2, 3)
+        with pytest.raises(BadParameters):
+            bounds(64, 3)

@@ -4,22 +4,32 @@ import random
 import numpy as np
 import pytest
 
-from vsdepth.construct import construct_c2, construct_c3, full_ring_certificate
-from vsdepth.errors import RefusesUnverified, TopTooSmall, UniverseMismatch
+from vsdepth import setcore
+from vsdepth.construct import (
+    construct_c2,
+    construct_c3,
+    construct_c4,
+    full_ring_certificate,
+)
+from vsdepth.errors import (
+    CertificateFormatError,
+    ElementOutOfRange,
+    RefusesUnverified,
+    UniverseMismatch,
+)
 from vsdepth.intervals import (
     Certificate,
     Interval,
     covers,
     disjoint,
     format_certificate,
-    new_certificate,
     parse_certificate,
     render_stanley,
     verify_certificate,
 )
 from vsdepth.setcore import PointSet, binomial, make_set
 
-from oracles import intervals_share_member
+from oracles import intervals_share_member, set_literal_naive
 
 
 def iv(n, bottom, top):
@@ -71,21 +81,26 @@ class TestDisjoint:
             assert disjoint(i1, i2) == (not intervals_share_member(i1, i2))
 
 
-def c2_like_certificate():
-    return new_certificate(
-        3, 1, 2,
-        [iv(3, [1], [1, 2]), iv(3, [2], [2, 3]), iv(3, [3], [1, 3])],
+def cert_of(n, d, k, intervals):
+    """Certificate from (bottom members, top members) pairs."""
+    return Certificate.from_arrays(
+        n, d, k,
+        [make_set(n, b).mask for b, _ in intervals],
+        [make_set(n, t).mask for _, t in intervals],
     )
+
+
+def c2_like_certificate():
+    return cert_of(3, 1, 2, [([3], [1, 3]), ([1], [1, 2]), ([2], [2, 3])])
 
 
 class TestNewCertificate:
     def test_c2_shape(self):
         cert = c2_like_certificate()
         assert cert.num_explicit == 3
-
-    def test_top_too_small(self):
-        with pytest.raises(TopTooSmall):
-            new_certificate(3, 1, 2, [iv(3, [1], [1])])
+        # from_arrays orders the intervals by bottom
+        assert cert.bottom_masks.tolist() == [0b001, 0b010, 0b100]
+        assert cert.top_masks.tolist() == [0b011, 0b110, 0b101]
 
 
 class TestVerify:
@@ -100,25 +115,21 @@ class TestVerify:
         assert report.rank_coverage[2] == 10 == binomial(5, 2)
 
     def test_missing_interval_reports_gap(self):
-        cert = new_certificate(
-            3, 1, 2, [iv(3, [1], [1, 2]), iv(3, [2], [2, 3])]
-        )
+        cert = cert_of(3, 1, 2, [([1], [1, 2]), ([2], [2, 3])])
         report = verify_certificate(cert)
         assert not report.valid
         tag, rank, witness = report.first_violation
         assert tag == "gap-at-rank" and rank == 1 and witness.members() == (3,)
 
     def test_overlap_detected(self):
-        cert = new_certificate(
-            3, 1, 2, [iv(3, [1], [1, 2]), iv(3, [2], [1, 2, 3]), iv(3, [3], [1, 3])]
-        )
+        cert = cert_of(3, 1, 2, [([1], [1, 2]), ([2], [1, 2, 3]), ([3], [1, 3])])
         report = verify_certificate(cert)
         assert not report.valid and report.first_violation[0] == "overlap"
 
     def test_insensitive_to_interval_order(self):
-        base = [iv(3, [1], [1, 2]), iv(3, [2], [2, 3]), iv(3, [3], [1, 3])]
+        base = [([1], [1, 2]), ([2], [2, 3]), ([3], [1, 3])]
         reports = [
-            verify_certificate(new_certificate(3, 1, 2, list(perm)))
+            verify_certificate(cert_of(3, 1, 2, list(perm)))
             for perm in itertools.permutations(base)
         ]
         assert all(r.valid and r.achieved_depth == 2 for r in reports)
@@ -178,7 +189,7 @@ class TestRender:
         assert any(line.startswith("x1x2·K[") for line in text.splitlines())
 
     def test_refuses_unverified(self):
-        cert = new_certificate(3, 1, 2, [iv(3, [1], [1, 2])])
+        cert = cert_of(3, 1, 2, [([1], [1, 2])])
         with pytest.raises(RefusesUnverified):
             render_stanley(cert)
 
@@ -198,8 +209,62 @@ class TestFileFormat:
         assert lines[2] == "interval {1} {1,2}"
         assert lines[-1] == "trivial-completion"
 
-    def test_parse_rejects_garbage(self):
-        from vsdepth.errors import CertificateFormatError
+    def test_matches_naive_spelling(self):
+        # more intervals than one formatting slice, in no particular order
+        rng = np.random.default_rng(3)
+        tops = rng.integers(0, 1 << 12, size=70_000)
+        bottoms = tops & rng.integers(0, 1 << 12, size=70_000)
+        cert = Certificate(12, 1, 2, bottoms, tops)
+        pairs = sorted(zip(bottoms.tolist(), tops.tolist()))
+        lines = [f"interval {set_literal_naive(b)} {set_literal_naive(t)}" for b, t in pairs]
+        text = format_certificate(cert)
+        assert text.splitlines() == ["VSDEPTH-CERT v1", "n=12 d=1 k=2", *lines,
+                                     "trivial-completion"]
+        back = parse_certificate(text)
+        assert list(zip(back.bottom_masks.tolist(), back.top_masks.tolist())) == pairs
 
+    def test_parse_rejects_garbage(self):
         with pytest.raises(CertificateFormatError):
             parse_certificate("not a certificate\n")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_round_trip_base_constructions(self, d, monkeypatch):
+        # neither direction builds a PointSet
+        certs = [construct_c2(d), construct_c3(d), construct_c4(d)]
+
+        def refuse(self):
+            raise AssertionError("PointSet built")
+
+        monkeypatch.setattr(setcore.PointSet, "__post_init__", refuse)
+        for cert in certs:
+            text = format_certificate(cert)
+            back = parse_certificate(text)
+            assert np.array_equal(back.bottom_masks, cert.bottom_masks)
+            assert np.array_equal(back.top_masks, cert.top_masks)
+            assert format_certificate(back) == text
+
+    @pytest.mark.parametrize("params", ["n=3 d=5 k=5", "n=70 d=2 k=2", "n=4 d=2 k=1"])
+    def test_parameters_outside_domain(self, params):
+        with pytest.raises(CertificateFormatError):
+            parse_certificate(f"VSDEPTH-CERT v1\n{params}\ntrivial-completion\n")
+
+    @pytest.mark.parametrize("body", [
+        "VSDEPTH-CERT v2\nn=3 d=1 k=2\ntrivial-completion",
+        "VSDEPTH-CERT v1\nn=3 d=1\ntrivial-completion",
+        "VSDEPTH-CERT v1\nn=3 d=x k=2\ntrivial-completion",
+        "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1} {1,2}",
+        "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1}\ntrivial-completion",
+        "VSDEPTH-CERT v1\nn=3 d=1 k=2\nintervals {1} {1,2}\ntrivial-completion",
+        "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1} 1,2\ntrivial-completion",
+        "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1} {1,b}\ntrivial-completion",
+        "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {0} {1,2}\ntrivial-completion",
+        "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1} {1,4}\ntrivial-completion",
+    ])
+    def test_malformed_input_refused(self, body):
+        with pytest.raises((CertificateFormatError, ElementOutOfRange)):
+            parse_certificate(body + "\n")
+
+    def test_format_refuses_members_outside_universe(self):
+        cert = Certificate.from_arrays(3, 1, 2, [0b1000], [0b1001])
+        with pytest.raises(ElementOutOfRange):
+            format_certificate(cert)

@@ -10,16 +10,20 @@ from vsdepth.setcore import (
     PointSet,
     binomial,
     circ_block,
+    format_masks,
     interval_members,
-    iter_size_masks,
     make_set,
-    parse_set,
+    parse_masks,
     popcount_array,
-    sets_of_size,
     size_masks_array,
 )
 
-from oracles import interval_members_naive, pascal_binomial
+from oracles import (
+    interval_members_naive,
+    iter_size_masks,
+    pascal_binomial,
+    set_literal_naive,
+)
 
 
 class TestMakeSet:
@@ -49,29 +53,26 @@ class TestMakeSet:
 
 class TestSetsOfSize:
     def test_listing_n3_t2(self):
-        got = [s.members() for s in sets_of_size(3, 2)]
+        got = [PointSet(3, m).members() for m in size_masks_array(3, 2).tolist()]
         assert got == [(1, 2), (1, 3), (2, 3)]
 
     def test_empty_subset(self):
-        assert sets_of_size(4, 0) == [PointSet(4, 0)]
+        assert size_masks_array(4, 0).tolist() == [0]
 
     def test_singletons(self):
-        got = sets_of_size(5, 1)
-        assert len(got) == 5
-        assert got[0].members() == (1,)
-        assert got[-1].members() == (5,)
+        assert size_masks_array(5, 1).tolist() == [1, 2, 4, 8, 16]
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_count_matches_binomial(self, n):
         for t in range(n + 1):
-            assert len(list(iter_size_masks(n, t))) == binomial(n, t)
+            assert len(size_masks_array(n, t)) == binomial(n, t)
 
     def test_colex_strictly_increasing(self):
         # for fixed size, colex order is numeric mask order
         for n in range(1, 10):
             for t in range(n + 1):
-                masks = list(iter_size_masks(n, t))
-                assert all(a < b for a, b in zip(masks, masks[1:]))
+                masks = size_masks_array(n, t)
+                assert np.all(masks[1:] > masks[:-1])
 
     def test_array_agrees_with_iterator(self):
         for n in range(1, 12):
@@ -81,7 +82,7 @@ class TestSetsOfSize:
 
     def test_size_out_of_range(self):
         with pytest.raises(ElementOutOfRange):
-            sets_of_size(3, 4)
+            size_masks_array(3, 4)
 
 
 class TestCircBlock:
@@ -126,12 +127,28 @@ class TestBinomial:
 
 class TestSetLiteral:
     def test_round_trip(self):
-        for s in ("{1,4,5}", "{}", "{2,7}"):
-            assert str(parse_set(s, 8)) == s
+        literals = ["{1,4,5}", "{}", "{2,7}"]
+        assert format_masks(parse_masks(literals, 8)) == literals
+        assert str(make_set(8, [5, 1, 4])) == "{1,4,5}"
 
     def test_malformed(self):
-        with pytest.raises(ElementOutOfRange):
-            parse_set("1,2", 5)
+        for text in ("1,2", "{1,2", "{1,,2}", "{a}", "{ }", "{0}", "{6}", "{-1}"):
+            with pytest.raises(ElementOutOfRange):
+                parse_masks([text], 5)
+
+    def test_lenient_spellings(self):
+        # what int() reads is a member; order and repeats do not matter
+        assert parse_masks([" {3,1} ", "{03,+2,2}", "{ 4}"], 5).tolist() == [
+            0b101, 0b110, 0b1000,
+        ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 63) - 1), max_size=50))
+    @example([0, 1, (1 << 63) - 1, 0xFF00, 0x8080808080808080 >> 1])
+    def test_matches_naive_literals(self, masks):
+        literals = format_masks(np.array(masks, dtype=np.int64))
+        assert literals == [set_literal_naive(m) for m in masks]
+        assert parse_masks(literals, 63).tolist() == masks
 
 
 def test_popcount_array():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from vsdepth.errors import BadParameters
@@ -52,9 +54,18 @@ class TestCertifyAtLeast:
         assert result.status == "budget-exhausted"
         assert result.certificate is None
 
+    def test_wall_time_checked_every_node(self):
+        # a node at (18,2) takes a sizeable fraction of a second
+        t0 = time.monotonic()
+        result = certify_at_least(18, 2, 7, SearchBudget(wall_time_limit=1.0))
+        assert result.status == "budget-exhausted"
+        assert time.monotonic() - t0 < 2.5
+
     def test_bad_params(self):
         with pytest.raises(BadParameters):
             certify_at_least(3, 2, 1, BUDGET)
+        with pytest.raises(BadParameters):
+            certify_at_least(64, 1, 1, BUDGET)
         with pytest.raises(BadParameters):
             SearchBudget(max_nodes=0)
 
