@@ -11,12 +11,28 @@ rank must be the bottom of its covering interval.  (That interval's
 bottom is a member of the interval, hence uncovered now, and it sits at
 rank >= d inside m; a proper subset would be an uncovered set of lower
 rank, contradicting minimality.  So the bottom equals m.)  Branching is
-therefore only over tops.
+therefore only over tops.  A cursor per rank remembers where the last
+lookup found m, so the next lookup does not rescan the sets before it.
+
+Tops: the candidates at a node are the supersets t of m with |t| >= k, in
+colex (numeric) order.  They are generated lazily, as the submasks of the
+free bits with at least k-|m| of them set, in ascending order, so none is
+built past the first that fits.  A candidate fits when no member of
+[m, t] is occupied.  The test enumerates the members in ascending order
+and stops at the first occupied one, m | s.  Every later candidate that
+agrees with t from the lowest bit of s upward contains m | s as well, so
+all of them are skipped.  The deadline is read while candidates are
+enumerated as well as at every node.
 
 Counting prune: the U[r0] uncovered sets at the lowest uncovered rank r0
 must each bottom their own interval, and those intervals cover at least
 C(k-r0, r-r0) pairwise-distinct, currently-uncovered sets at every rank
-r < k.  Whenever U[r0] * C(k-r0, r-r0) exceeds U[r] the node is dead.
+r <= k (at rank k: one each, a k-subset of the top).  Whenever
+U[r0] * C(k-r0, r-r0) exceeds U[r] the node is dead.
+
+The depth-first search keeps its open nodes on an explicit stack, one
+frame per chosen interval, so the interpreter's recursion limit does not
+bound the size of a certificate.
 """
 from __future__ import annotations
 
@@ -24,7 +40,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -55,25 +71,39 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _colex_list(n: int, r: int) -> list[int]:
+    """The r-subset masks of [n] in colex order.  Above rank n/2 they are
+    the complements of the (n-r)-subsets in reverse, which keeps the
+    intermediate levels of ``size_masks_array`` below C(n, r)."""
+    if 2 * r <= n:
+        return size_masks_array(n, r).tolist()
+    full = (1 << n) - 1
+    return [full ^ x for x in reversed(size_masks_array(n, n - r).tolist())]
+
+
 class _Searcher:
     def __init__(self, n: int, d: int, k: int, budget: SearchBudget):
         self.n, self.d, self.k = n, d, k
         self.budget = budget
         self.nodes = 0
         self.deadline = time.monotonic() + budget.wall_time_limit
-        self.occupied = bytearray(1 << n)
-        self.rank_lists = {r: size_masks_array(n, r).tolist() for r in range(d, k)}
-        self.uncovered = {r: len(self.rank_lists[r]) for r in range(d, k)}
+        # the members of the chosen intervals
+        self.occupied: set[int] = set()
+        self.rank_lists = {r: _colex_list(n, r) for r in range(d, k)}
+        # unoccupied sets per rank, d..k; rank k feeds only the counting prune
+        self.uncovered = [0] * d + [math.comb(n, r) for r in range(d, k + 1)]
+        # rank_lists[r][:cursor[r]] are all occupied
+        self.cursor = [0] * k
         self.chosen: list[tuple[int, int]] = []
         # C(k-r0, r-r0) table for the counting prune
         self.prune_coeff = {
-            r0: [math.comb(k - r0, r - r0) for r in range(r0, k)]
+            r0: [math.comb(k - r0, r - r0) for r in range(r0, k + 1)]
             for r0 in range(d, k)
         }
 
     def _tick(self) -> None:
-        # one node can take a sizeable fraction of a second at n near 20,
-        # so the deadline is read at every node
+        # the deadline is read at every node, and between candidate tops
+        # in _fitting_tops
         self.nodes += 1
         if self.nodes > self.budget.max_nodes or time.monotonic() > self.deadline:
             raise _BudgetExhausted
@@ -82,70 +112,105 @@ class _Searcher:
         occupied = self.occupied
         for r in range(self.d, self.k):
             if self.uncovered[r]:
-                for m in self.rank_lists[r]:
-                    if not occupied[m]:
-                        return r, m
+                masks = self.rank_lists[r]
+                i = self.cursor[r]
+                while masks[i] in occupied:
+                    i += 1
+                self.cursor[r] = i
+                return r, masks[i]
         return None
 
-    def _candidate_tops(self, m: int, r: int) -> list[int]:
-        """Supersets of m of size >= k, in colex (numeric) order."""
-        n, k = self.n, self.k
-        free = [i for i in range(n) if not m >> i & 1]
-        need = k - r
-        tops = []
-        for sub in range(1 << len(free)):
-            if sub.bit_count() >= need:
-                t = m
-                for j, i in enumerate(free):
-                    if sub >> j & 1:
-                        t |= 1 << i
-                tops.append(t)
-        tops.sort()
-        return tops
+    def _alive(self, r0: int) -> bool:
+        """The counting prune at a node whose lowest uncovered rank is r0."""
+        uncovered = self.uncovered
+        u0 = uncovered[r0]
+        coeff = self.prune_coeff[r0]
+        for r in range(r0 + 1, self.k + 1):
+            if u0 * coeff[r - r0] > uncovered[r]:
+                return False
+        return True
 
-    def _members(self, m: int, t: int) -> list[int]:
-        free = t & ~m
-        out = []
-        sub = free
+    def _fitting_tops(self, m: int, r: int) -> Iterator[tuple[int, list[int]]]:
+        """Tops t of the intervals [m, t] with no occupied member, in colex
+        order, each with the members of [m, t]; reads the deadline."""
+        occupied = self.occupied
+        free = ((1 << self.n) - 1) & ~m
+        need = self.k - r
+        deadline = self.deadline
+        sub = 0
+        tried = 0
         while True:
-            out.append(m | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-        return out
+            # the least submask of free from sub on with >= need bits:
+            # set the lowest free bits that sub lacks
+            for _ in range(need - sub.bit_count()):
+                gap = free & ~sub
+                sub |= gap & -gap
+            tried += 1
+            if not tried & 63 and time.monotonic() > deadline:
+                raise _BudgetExhausted
+            members = [m]
+            rest = 0
+            while True:
+                rest = (rest - sub) & sub
+                if not rest:
+                    yield m | sub, members
+                    break
+                x = m | rest
+                if x in occupied:
+                    # every later candidate that agrees with sub from the
+                    # lowest bit of rest up holds x too: skip past them
+                    sub |= free & ((rest & -rest) - 1)
+                    break
+                members.append(x)
+            if sub == free:
+                return
+            sub = (sub - free) & free  # the next submask of free
+
+    def _place(self, r0: int, members: list[int], sign: int) -> None:
+        """Occupy (sign +1) or release (sign -1) the members of an interval
+        bottomed at rank r0; it has C(dim, j) of them at rank r0+j."""
+        if sign > 0:
+            self.occupied.update(members)
+        else:
+            self.occupied.difference_update(members)
+        dim = len(members).bit_length() - 1
+        uncovered = self.uncovered
+        for j in range(min(dim, self.k - r0) + 1):
+            uncovered[r0 + j] -= sign * math.comb(dim, j)
 
     def search(self) -> bool:
-        self._tick()
-        cur = self._least_uncovered()
-        if cur is None:
-            return True
-        r0, m = cur
-        u0 = self.uncovered[r0]
-        coeff = self.prune_coeff[r0]
-        for r in range(r0 + 1, self.k):
-            if u0 * coeff[r - r0] > self.uncovered[r]:
-                return False
-        occupied = self.occupied
-        k = self.k
-        for t in self._candidate_tops(m, r0):
-            members = self._members(m, t)
-            if any(occupied[x] for x in members):
-                continue
-            for x in members:
-                occupied[x] = 1
-                rx = x.bit_count()
-                if rx < k:
-                    self.uncovered[rx] -= 1
-            self.chosen.append((m, t))
-            if self.search():
+        # one frame per open node: [fitting tops, bottom, rank, cursors at
+        # the node, members of the interval placed from it or None]
+        stack: list[list] = []
+        chosen = self.chosen
+        while True:
+            self._tick()
+            cur = self._least_uncovered()
+            if cur is None:
                 return True
-            self.chosen.pop()
-            for x in members:
-                occupied[x] = 0
-                rx = x.bit_count()
-                if rx < k:
-                    self.uncovered[rx] += 1
-        return False
+            r0, m = cur
+            if self._alive(r0):
+                stack.append([self._fitting_tops(m, r0), m, r0, self.cursor.copy(), None])
+            # place the next fitting top of the deepest open node; a node
+            # with none left is closed, and its parent's interval taken back
+            while stack:
+                frame = stack[-1]
+                tops, m, r0, cursor, placed = frame
+                if placed is not None:
+                    self._place(r0, placed, -1)
+                    chosen.pop()
+                    self.cursor[:] = cursor
+                    frame[4] = None
+                step = next(tops, None)
+                if step is not None:
+                    t, members = step
+                    self._place(r0, members, +1)
+                    chosen.append((m, t))
+                    frame[4] = members
+                    break
+                stack.pop()
+            else:
+                return False
 
 
 def certify_at_least(n: int, d: int, k: int, budget: SearchBudget) -> SolveResult:

@@ -176,3 +176,119 @@ def unrestricted_family_exists(n: int, d: int, k: int) -> bool:
         return False
 
     return search()
+
+
+class _ReferenceBudgetExhausted(Exception):
+    pass
+
+
+class _RecursiveSearcher:
+    """The solver's recursive search as it stood before the explicit
+    stack, kept verbatim (rank lists from Gosper's iterator, which gives
+    the same colex order) as the reference for certificate identity."""
+
+    def __init__(self, n: int, d: int, k: int, max_nodes: int):
+        self.n, self.d, self.k = n, d, k
+        self.max_nodes = max_nodes
+        self.nodes = 0
+        self.occupied = bytearray(1 << n)
+        self.rank_lists = {r: list(iter_size_masks(n, r)) for r in range(d, k)}
+        self.uncovered = {r: len(self.rank_lists[r]) for r in range(d, k)}
+        self.chosen: list[tuple[int, int]] = []
+        # C(k-r0, r-r0) table for the counting prune
+        self.prune_coeff = {
+            r0: [pascal_binomial(k - r0, r - r0) for r in range(r0, k)]
+            for r0 in range(d, k)
+        }
+
+    def _tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise _ReferenceBudgetExhausted
+
+    def _least_uncovered(self):
+        occupied = self.occupied
+        for r in range(self.d, self.k):
+            if self.uncovered[r]:
+                for m in self.rank_lists[r]:
+                    if not occupied[m]:
+                        return r, m
+        return None
+
+    def _candidate_tops(self, m: int, r: int) -> list[int]:
+        """Supersets of m of size >= k, in colex (numeric) order."""
+        n, k = self.n, self.k
+        free = [i for i in range(n) if not m >> i & 1]
+        need = k - r
+        tops = []
+        for sub in range(1 << len(free)):
+            if sub.bit_count() >= need:
+                t = m
+                for j, i in enumerate(free):
+                    if sub >> j & 1:
+                        t |= 1 << i
+                tops.append(t)
+        tops.sort()
+        return tops
+
+    def _members(self, m: int, t: int) -> list[int]:
+        free = t & ~m
+        out = []
+        sub = free
+        while True:
+            out.append(m | sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+        return out
+
+    def search(self) -> bool:
+        self._tick()
+        cur = self._least_uncovered()
+        if cur is None:
+            return True
+        r0, m = cur
+        u0 = self.uncovered[r0]
+        coeff = self.prune_coeff[r0]
+        for r in range(r0 + 1, self.k):
+            if u0 * coeff[r - r0] > self.uncovered[r]:
+                return False
+        occupied = self.occupied
+        k = self.k
+        for t in self._candidate_tops(m, r0):
+            members = self._members(m, t)
+            if any(occupied[x] for x in members):
+                continue
+            for x in members:
+                occupied[x] = 1
+                rx = x.bit_count()
+                if rx < k:
+                    self.uncovered[rx] -= 1
+            self.chosen.append((m, t))
+            if self.search():
+                return True
+            self.chosen.pop()
+            for x in members:
+                occupied[x] = 0
+                rx = x.bit_count()
+                if rx < k:
+                    self.uncovered[rx] += 1
+        return False
+
+
+def recursive_certify_reference(n: int, d: int, k: int, max_nodes: int = 10**7,
+                                placed=()):
+    """``(status, chosen, nodes)`` of the recursive search: status is
+    proved, disproved or budget-exhausted, chosen the (bottom, top) masks
+    in the order the search placed them.  The search starts with the
+    disjoint intervals ``placed`` occupied."""
+    searcher = _RecursiveSearcher(n, d, k, max_nodes)
+    for x in interval_members_naive(*zip(*placed)) if placed else ():
+        searcher.occupied[x] = 1
+        if x.bit_count() in searcher.uncovered:
+            searcher.uncovered[x.bit_count()] -= 1
+    try:
+        found = searcher.search()
+    except _ReferenceBudgetExhausted:
+        return "budget-exhausted", [], searcher.nodes
+    return ("proved" if found else "disproved"), searcher.chosen, searcher.nodes

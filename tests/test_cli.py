@@ -110,6 +110,11 @@ class TestSdepth:
         assert run(["sdepth", "--n", "4", "--d", "2", "--k", "3"]) == 1
         assert out_lines(capsys)[0].startswith("k=3 status=disproved")
 
+    def test_rank_k_prune_disproves_at_root(self, capsys):
+        # bounds gives upper=4 at (7,4); only the rank-k count shows it
+        assert run(["sdepth", "--n", "7", "--d", "4", "--k", "5"]) == 1
+        assert out_lines(capsys)[0] == "k=5 status=disproved nodes=1"
+
     def test_writes_certificate(self, tmp_path, capsys):
         cert_path = str(tmp_path / "cert.txt")
         assert run(["sdepth", "--n", "5", "--d", "1", "--out", cert_path]) == 0
