@@ -3,8 +3,7 @@
 Exit codes: 0 success / valid / proved; 1 invalid certificate, disproved
 claim or scan discrepancy; 2 usage error (bad arguments, parameters out
 of range, a malformed or unreadable file); 3 internal error (any other
-exception, whose traceback goes to stderr).  All output is deterministic
-in default (single-worker) mode.
+exception, whose traceback goes to stderr).  All output is deterministic.
 """
 from __future__ import annotations
 

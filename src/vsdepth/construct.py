@@ -155,10 +155,10 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
     Every explicit interval of p1 is lifted by the new point n+1; p2's
     intervals stay as-is.  Lifted p1 members all contain n+1 while p2
     members never do, so the union is disjoint, and p1's trivial sets lift
-    to rank >= p1.k + 1 where the new completion absorbs them.  The inputs
-    are not checked on their own: a defect in either one surfaces in the
-    ranks the composition claims, so only the composed certificate is
-    verified, and ``DepthMismatch`` is raised if it fails.
+    to rank >= p1.k + 1 where the new completion absorbs them.  Only the
+    parameters are checked; the splice is not verified, because a defect
+    in either input surfaces in the ranks the composition claims, where
+    ``construct_general`` verifies its result once.
     """
     if p1.universe_size != p2.universe_size:
         raise UniverseMismatch(
@@ -178,15 +178,9 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
     new_bit = np.int64(1 << n)
     bottoms = np.concatenate([p1.bottom_masks | new_bit, p2.bottom_masks])
     tops = np.concatenate([p1.top_masks | new_bit, p2.top_masks])
-    composed = Certificate.from_arrays(
+    return Certificate.from_arrays(
         n + 1, p2.min_generator_size, a_plus1, bottoms, tops
     )
-    report = verify_certificate(composed)
-    if not report.valid:
-        raise DepthMismatch(
-            f"composed certificate does not verify: {report.first_violation}"
-        )
-    return composed
 
 
 _BASE_BUILDERS = {2: construct_c2, 3: construct_c3, 4: construct_c4}
@@ -203,7 +197,8 @@ def construct_general(n: int, d: int) -> Certificate:
     Chooses the strongest available c = min(floor((n+1)/(d+1)), 4), takes
     the base construction at n' = cd+c-1, and walks up to n with the
     plus-one composition; the degree-0 leg of each composition is the
-    full-ring interval.
+    full-ring interval.  The result is verified once, here; a failure is
+    an internal error and raises ``AssertionError``.
     """
     _check_degree(n, d)
     memo: dict[tuple[int, int], Certificate] = {}
@@ -227,7 +222,13 @@ def construct_general(n: int, d: int) -> Certificate:
         memo[(m, e)] = cert
         return cert
 
-    return build(n, d)
+    cert = build(n, d)
+    report = verify_certificate(cert)
+    if not report.valid:
+        raise AssertionError(
+            f"constructed certificate does not verify: {report.first_violation}"
+        )
+    return cert
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,8 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
 
     Valid iff the explicit intervals are pairwise disjoint, every set of
     size d..k-1 is covered exactly once, and every explicit top has at
-    least k points.
+    least k points.  ``rank_coverage`` counts the covered sets at every
+    rank d..n once the intervals are found disjoint.
     """
     n = cert.universe_size
     d = cert.min_generator_size
@@ -134,7 +135,7 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
 
     if cert.num_explicit == 0:
         # purely trivial certificate: sound iff there is nothing below k
-        coverage = {t: 0 for t in range(d, k)}
+        coverage = {t: 0 for t in range(d, n + 1)}
         if k > d:
             return VerifyReport(
                 False, d, ("gap-at-rank", d, _find_missing(n, d, np.empty(0, np.int64))),
@@ -171,7 +172,7 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
 
     ranks = popcount_array(members)
     counts = np.bincount(ranks, minlength=n + 1)
-    coverage = {t: int(counts[t]) for t in range(d, k)}
+    coverage = {t: int(counts[t]) for t in range(d, n + 1)}
     for t in range(d, k):
         want = math.comb(n, t)
         if counts[t] != want:
@@ -202,11 +203,9 @@ def render_stanley(cert: Certificate) -> str:
     for b, t in zip(cert.bottom_masks, cert.top_masks):
         variables = ",".join(f"x{i}" for i in PointSet(n, int(t)).members())
         lines.append(f"{_monomial(int(b), n)}·K[{variables}]")
-    members = interval_members(cert.bottom_masks, cert.top_masks)
-    counts = np.bincount(popcount_array(members), minlength=n + 1)
     trivia = []
-    for t in range(cert.min_generator_size, n + 1):
-        rest = math.comb(n, t) - int(counts[t])
+    for t, covered in report.rank_coverage.items():
+        rest = math.comb(n, t) - covered
         if rest:
             trivia.append(f"rank {t}: {rest}")
     lines.append("trivial summands: " + ("; ".join(trivia) if trivia else "none"))

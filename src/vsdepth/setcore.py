@@ -198,11 +198,16 @@ def size_masks_array(n: int, t: int) -> np.ndarray:
 
     Built level-by-level: the first C(m,t) entries of the level-t array
     are exactly the t-subsets of [m], so each level is a concatenation of
-    prefixes of the previous one shifted by a new top bit.
+    prefixes of the previous one shifted by a new top bit.  Above t = n/2
+    the levels would pass through C(n, n/2) entries, so the t-subsets are
+    built as the complements of the (n-t)-subsets, whose reverse order is
+    again colex.
     """
     _check_universe(n)
     if not 0 <= t <= n:
         raise ElementOutOfRange(f"subset size {t} not in 0..{n}")
+    if 2 * t > n:
+        return np.int64((1 << n) - 1) ^ size_masks_array(n, n - t)[::-1]
     level = np.zeros(1, dtype=np.int64)  # the single 0-subset
     for size in range(1, t + 1):
         parts = [

@@ -37,13 +37,13 @@ bound the size of a certificate.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
+from .construct import bounds
 from .errors import BadParameters
 from .intervals import Certificate, verify_certificate
 from .setcore import MAX_UNIVERSE, size_masks_array
@@ -71,16 +71,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _colex_list(n: int, r: int) -> list[int]:
-    """The r-subset masks of [n] in colex order.  Above rank n/2 they are
-    the complements of the (n-r)-subsets in reverse, which keeps the
-    intermediate levels of ``size_masks_array`` below C(n, r)."""
-    if 2 * r <= n:
-        return size_masks_array(n, r).tolist()
-    full = (1 << n) - 1
-    return [full ^ x for x in reversed(size_masks_array(n, n - r).tolist())]
-
-
 class _Searcher:
     def __init__(self, n: int, d: int, k: int, budget: SearchBudget):
         self.n, self.d, self.k = n, d, k
@@ -89,7 +79,7 @@ class _Searcher:
         self.deadline = time.monotonic() + budget.wall_time_limit
         # the members of the chosen intervals
         self.occupied: set[int] = set()
-        self.rank_lists = {r: _colex_list(n, r) for r in range(d, k)}
+        self.rank_lists = {r: size_masks_array(n, r).tolist() for r in range(d, k)}
         # unoccupied sets per rank, d..k; rank k feeds only the counting prune
         self.uncovered = [0] * d + [math.comb(n, r) for r in range(d, k + 1)]
         # rank_lists[r][:cursor[r]] are all occupied
@@ -244,9 +234,7 @@ def exact_sdepth(n: int, d: int, budget: SearchBudget) -> SolveResult:
     bound; a budget exhaustion along the way downgrades the status, and
     the reported value is the best proved lower bound.
     """
-    if not 1 <= d <= n:
-        raise BadParameters(f"need 1 <= d <= n, got n={n}, d={d}")
-    upper = d + (n - d) // (d + 1)
+    upper = bounds(n, d).upper
     exhausted = False
     total_nodes = 0
     for k in range(upper, d - 1, -1):
@@ -270,35 +258,19 @@ class ScanRow:
     discrepancy: bool
 
 
-def _scan_case(args: tuple[int, int, int, float]) -> ScanRow:
-    n, d, max_nodes, wall = args
-    conjectured = d + (n - d) // (d + 1)
-    result = exact_sdepth(n, d, SearchBudget(max_nodes, wall))
+def _scan_case(n: int, d: int, budget: SearchBudget) -> ScanRow:
+    conjectured = bounds(n, d).conjectured
+    result = exact_sdepth(n, d, budget)
     discrepancy = result.status == "proved" and result.value_or_bound != conjectured
     return ScanRow(n, d, conjectured, result.value_or_bound, result.status, discrepancy)
 
 
-def conjecture_scan(
-    max_n: int, budget: SearchBudget, workers: Optional[int] = None
-) -> list[ScanRow]:
+def conjecture_scan(max_n: int, budget: SearchBudget) -> list[ScanRow]:
     """Exact solve for all 1 <= d <= n <= max_n against the formula."""
-    if not 1 <= max_n <= 63:
-        raise BadParameters(f"max_n={max_n} not in 1..63")
-    if workers is None:
-        try:
-            workers = int(os.environ.get("VSDEPTH_THREADS", "1"))
-        except ValueError as exc:
-            raise BadParameters("VSDEPTH_THREADS must be an integer") from exc
-    cases = [
-        (n, d, budget.max_nodes, budget.wall_time_limit)
+    if not 1 <= max_n <= MAX_UNIVERSE:
+        raise BadParameters(f"max_n={max_n} not in 1..{MAX_UNIVERSE}")
+    return [
+        _scan_case(n, d, budget)
         for n in range(1, max_n + 1)
         for d in range(1, n + 1)
     ]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_case, cases))
-    else:
-        rows = [_scan_case(case) for case in cases]
-    return rows

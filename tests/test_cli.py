@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from vsdepth import solver
+from vsdepth import construct, solver
 from vsdepth.cli import run
+from vsdepth.intervals import Certificate
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -77,6 +78,19 @@ class TestConstructVerifyRender:
         assert run(["bounds", "--n", "64", "--d", "3"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_unverified_construction_is_internal_error(self, monkeypatch, capsys):
+        def dropped(d):
+            cert = construct.construct_c3(d)
+            return Certificate.from_arrays(
+                cert.universe_size, d, cert.claimed_depth,
+                cert.bottom_masks[1:], cert.top_masks[1:],
+            )
+
+        monkeypatch.setitem(construct._BASE_BUILDERS, 3, dropped)
+        assert run(["construct", "--n", "6", "--d", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "AssertionError" in captured.err
+
     def test_stdout_output(self, capsys):
         assert run(["construct", "--n", "3", "--d", "1"]) == 0
         lines = out_lines(capsys)
@@ -135,10 +149,6 @@ class TestScanAndUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(["bounds", "--n", "3"]) == 2
-
-    def test_bad_worker_count(self, monkeypatch, capsys):
-        monkeypatch.setenv("VSDEPTH_THREADS", "two")
-        assert run(["scan", "--max-n", "2"]) == 2
 
     def test_crash_is_internal_error(self, monkeypatch, capsys):
         def crash(*args):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vsdepth import construct
 from vsdepth.blocks import Density, f_delta
 from vsdepth.construct import (
     _uncovered_masks,
@@ -240,25 +241,26 @@ class TestCompose:
                         format_masks(composed.top_masks)))
         assert ("{4}", "{1,2,3,4}") in pairs
 
-    def test_duplicated_p2_interval_raises(self):
+    # compose_plus1 only splices; a defect in an input shows in the result
+    def test_duplicated_p2_interval_overlaps(self):
         p2 = construct_c2(1)
         p2 = Certificate.from_arrays(
             3, 1, 2,
             np.append(p2.bottom_masks, p2.bottom_masks[0]),
             np.append(p2.top_masks, p2.top_masks[0]),
         )
-        with pytest.raises(DepthMismatch):
-            compose_plus1(full_ring_certificate(3, 2), p2)
+        report = verify_certificate(compose_plus1(full_ring_certificate(3, 2), p2))
+        assert not report.valid and report.first_violation[0] == "overlap"
 
-    def test_overlapping_p1_raises(self):
+    def test_overlapping_p1_overlaps(self):
         # [{}, [3]] and [{1}, [3]] share every set containing 1
         p1 = Certificate.from_arrays(
             3, 0, 2,
             np.array([0b000, 0b001], dtype=np.int64),
             np.array([0b111, 0b111], dtype=np.int64),
         )
-        with pytest.raises(DepthMismatch):
-            compose_plus1(p1, construct_c2(1))
+        report = verify_certificate(compose_plus1(p1, construct_c2(1)))
+        assert not report.valid and report.first_violation[0] == "overlap"
 
     def test_depth_precondition(self):
         # p1 one short of p2's depth is required, deeper p2 must fail
@@ -291,6 +293,31 @@ class TestConstructGeneral:
             construct_general(3, 4)
         with pytest.raises(BadParameters):
             construct_general(64, 63)
+
+    @pytest.mark.parametrize("n,d", [(21, 1), (22, 2), (21, 3)])
+    def test_verifies_once(self, n, d, monkeypatch):
+        calls = []
+
+        def counting(cert):
+            calls.append(cert)
+            return verify_certificate(cert)
+
+        monkeypatch.setattr(construct, "verify_certificate", counting)
+        cert = construct_general(n, d)
+        assert len(calls) == 1 and calls[0] is cert
+
+    def test_invalid_base_is_internal_error(self, monkeypatch):
+        # (6,1) composes c3(1); its missing interval leaves a gap in the result
+        def dropped(d):
+            cert = construct_c3(d)
+            return Certificate.from_arrays(
+                cert.universe_size, d, cert.claimed_depth,
+                cert.bottom_masks[1:], cert.top_masks[1:],
+            )
+
+        monkeypatch.setitem(construct._BASE_BUILDERS, 3, dropped)
+        with pytest.raises(AssertionError, match="gap-at-rank"):
+            construct_general(6, 1)
 
 
 class TestBounds:

@@ -113,6 +113,8 @@ class TestVerify:
         report = verify_certificate(cert)
         assert report.valid and report.achieved_depth == 3
         assert report.rank_coverage[2] == 10 == binomial(5, 2)
+        # every rank d..n is counted, not only d..k-1
+        assert report.rank_coverage == {1: 5, 2: 10, 3: 5, 4: 0, 5: 0}
 
     def test_missing_interval_reports_gap(self):
         cert = cert_of(3, 1, 2, [([1], [1, 2]), ([2], [2, 3])])
@@ -169,6 +171,14 @@ class TestVerify:
         tag, witness = report.first_violation
         assert tag == "overlap" and witness.members() == (1,)
 
+    def test_empty_certificate_high_rank_gap(self):
+        # the missing 39-set is found without building the middle ranks of [40]
+        empty = np.empty(0, dtype=np.int64)
+        report = verify_certificate(Certificate.from_arrays(40, 39, 40, empty, empty))
+        assert not report.valid
+        tag, rank, witness = report.first_violation
+        assert (tag, rank) == ("gap-at-rank", 39) and witness.size == 39
+
     def test_trivial_only_certificate(self):
         empty = np.empty(0, dtype=np.int64)
         cert = Certificate.from_arrays(4, 2, 2, empty, empty)
@@ -187,6 +197,9 @@ class TestRender:
         cert = construct_c3(2)
         text = render_stanley(cert)
         assert any(line.startswith("x1x2·K[") for line in text.splitlines())
+        assert text.endswith(
+            "trivial summands: rank 4: 42; rank 5: 56; rank 6: 28; rank 7: 8; rank 8: 1"
+        )
 
     def test_refuses_unverified(self):
         cert = cert_of(3, 1, 2, [([1], [1, 2])])

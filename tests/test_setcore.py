@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,10 +76,21 @@ class TestSetsOfSize:
                 assert np.all(masks[1:] > masks[:-1])
 
     def test_array_agrees_with_iterator(self):
-        for n in range(1, 12):
+        # above t = n/2 the array is built from complements
+        for n in range(1, 15):
             for t in range(n + 1):
                 arr = size_masks_array(n, t)
                 assert arr.tolist() == list(iter_size_masks(n, t))
+
+    def test_high_rank_memory_follows_output(self):
+        # building every level up to 25 would pass through C(26, 13) masks
+        tracemalloc.start()
+        try:
+            masks = size_masks_array(26, 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == 26 and peak < 1 << 20
 
     def test_size_out_of_range(self):
         with pytest.raises(ElementOutOfRange):

@@ -237,7 +237,7 @@ class TestExactSdepth:
 
 class TestScan:
     def test_scan_small(self):
-        rows = conjecture_scan(5, BUDGET, workers=1)
+        rows = conjecture_scan(5, BUDGET)
         assert len(rows) == 15
         for row in rows:
             assert row.status == "proved"
