@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DensityOutOfRange, ElementOutOfRange, EmptySet
-from .setcore import PointSet, _check_universe, circ_mask
+from .setcore import PointSet, _check_universe, circ_mask, mask_bits
 
 
 @dataclass(frozen=True)
@@ -267,12 +267,21 @@ def f_int_masks(n: int, c: int, masks: np.ndarray) -> np.ndarray:
     """
     if c < 2:
         raise DensityOutOfRange(f"vectorized f_c needs integer c >= 2, got {c}")
-    best = np.full(masks.shape, np.int64(-4 * n), dtype=np.int64)
+    masks = np.asarray(masks, dtype=np.int64)
+    # from c = n on, an arc from a member never goes negative, so f_c = f_n
+    c = min(c, n)
+    # -1 <= best <= 2n(c-1) <= 2*63*62 after the clamp: int32 holds it
+    best = np.zeros(masks.shape, dtype=np.int32)
+    negative = np.empty(masks.shape, dtype=bool)
     gaps = np.zeros(masks.shape, dtype=np.int64)
-    for step in range(2 * n):
-        i = step % n
-        w = np.where((masks >> np.int64(i)) & 1 == 1, np.int64(c - 1), np.int64(-1))
-        best = np.maximum(w, best + w)
+    for step, (i, bits) in enumerate(mask_bits(masks, [*range(n), *range(n)])):
+        # best = max(w, best + w) = max(best, 0) + w, where the weight w
+        # is c-1 for a member and -1 otherwise; c <= 63 fits the uint8 bits
+        np.maximum(best, 0, out=best)
+        bits *= c
+        best += bits
+        best -= 1
         if step >= n:
-            gaps |= (best < 0).astype(np.int64) << np.int64(i)
+            np.less(best, 0, out=negative)
+            np.bitwise_or(gaps, np.int64(1 << i), out=gaps, where=negative)
     return masks | gaps

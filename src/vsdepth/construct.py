@@ -22,8 +22,10 @@ from .setcore import (
     MAX_UNIVERSE,
     PointSet,
     interval_members,
+    mask_bits,
     popcount_array,
     size_masks_array,
+    sorted_unique,
 )
 
 
@@ -42,7 +44,7 @@ def _uncovered_masks(
     sizes = popcount_array(members)
     return [
         np.setdiff1d(
-            size_masks_array(n, t), np.unique(members[sizes == t]), assume_unique=True
+            size_masks_array(n, t), sorted_unique(members[sizes == t]), assume_unique=True
         )
         for t in ranks
     ]
@@ -77,14 +79,20 @@ def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
     members are at least half the universe).
     """
     masks = np.asarray(masks, dtype=np.int64)
-    unmatched_close = np.zeros(masks.shape, dtype=np.int32)
     pos = np.full(masks.shape, -1, dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        member = ((masks >> np.int64(i)) & 1).astype(bool)
-        pos = np.where(~member & (unmatched_close == 0), np.int32(i), pos)
-        unmatched_close = np.where(
-            member, unmatched_close + 1, np.maximum(unmatched_close - 1, 0)
-        )
+    # at most n <= 63 closes are pending, and one step moves by 1: int8
+    unmatched_close = np.zeros(masks.shape, dtype=np.int8)
+    opened = np.empty(masks.shape, dtype=bool)
+    for i, bits in mask_bits(masks, range(n - 1, -1, -1)):
+        # step is +1 for a member ')' and -1 for a non-member '('
+        step = bits.view(np.int8)
+        step += step
+        step -= 1
+        unmatched_close += step
+        # a '(' with no ')' pending is unmatched; the leftmost one wins
+        np.less(unmatched_close, 0, out=opened)
+        np.copyto(pos, i, where=opened)
+        np.maximum(unmatched_close, 0, out=unmatched_close)
     if bool(np.any(pos < 0)):
         raise MatchingFailed("a set has no unmatched opening position")
     return pos
@@ -128,7 +136,7 @@ def construct_c4(d: int) -> Certificate:
     bottoms, tops = _veronese_arrays(n, d, 4)
     v1, v2 = _uncovered_masks(n, bottoms, tops, (d + 2, d + 3))
     matched = v1 | (np.int64(1) << chain_successor_bits(v1, n).astype(np.int64))
-    if len(np.unique(matched)) != len(v1):
+    if len(sorted_unique(matched)) != len(v1):
         raise MatchingFailed("successor rule failed to be injective on V1")
     hits = np.searchsorted(v2, matched)
     ok = (hits < len(v2)) & (v2[np.minimum(hits, len(v2) - 1)] == matched)

@@ -123,10 +123,13 @@ class VerifyReport:
 def verify_certificate(cert: Certificate) -> VerifyReport:
     """Check the partition property and report the achieved depth.
 
-    Valid iff the explicit intervals are pairwise disjoint, every set of
-    size d..k-1 is covered exactly once, and every explicit top has at
-    least k points.  ``rank_coverage`` counts the covered sets at every
-    rank d..n once the intervals are found disjoint.
+    Valid iff every interval lies in [n], the explicit intervals are
+    pairwise disjoint, every set of size d..k-1 is covered exactly once,
+    and every explicit top has at least k points.  ``rank_coverage``
+    counts the covered sets at every rank d..n once the intervals are
+    found disjoint.  An interval end with members outside [n] is reported
+    as ``("outside-universe", mask)`` with a plain int mask, since no
+    PointSet can hold it.
     """
     n = cert.universe_size
     d = cert.min_generator_size
@@ -143,6 +146,10 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
             )
         return VerifyReport(True, k, None, coverage)
 
+    if bool(np.any((bottoms | tops) >> n)):
+        idx = int(np.argmax((bottoms | tops) >> n != 0))
+        bad = bottoms[idx] if bottoms[idx] >> n else tops[idx]
+        return VerifyReport(False, None, ("outside-universe", int(bad)))
     if bool(np.any(bottoms & ~tops)):
         idx = int(np.argmax((bottoms & ~tops) != 0))
         return VerifyReport(
@@ -184,9 +191,13 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
 
 
 def _find_missing(n: int, t: int, covered: np.ndarray) -> PointSet:
+    """The least t-set of [n] missing from ``covered``, which must be a
+    sorted, distinct, proper subsequence of the colex t-sets: the first
+    place where the two differ, else the t-set just past ``covered``."""
     everything = size_masks_array(n, t)
-    gap = np.setdiff1d(everything, covered)
-    return PointSet(n, int(gap[0]))
+    differ = np.flatnonzero(everything[: len(covered)] != covered)
+    first = int(differ[0]) if len(differ) else len(covered)
+    return PointSet(n, int(everything[first]))
 
 
 def _monomial(mask: int, n: int) -> str:

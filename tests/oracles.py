@@ -8,14 +8,17 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from vsdepth.blocks import (
     BlockStructure,
     CircBlock,
     Density,
     verify_block_structure,
 )
+from vsdepth.errors import DensityOutOfRange, MatchingFailed
 from vsdepth.intervals import Interval
-from vsdepth.setcore import PointSet
+from vsdepth.setcore import PointSet, popcount_array, size_masks_array
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -292,3 +295,54 @@ def recursive_certify_reference(n: int, d: int, k: int, max_nodes: int = 10**7,
     except _ReferenceBudgetExhausted:
         return "budget-exhausted", [], searcher.nodes
     return ("proved" if found else "disproved"), searcher.chosen, searcher.nodes
+
+
+def chain_successor_bits_reference(masks: np.ndarray, n: int) -> np.ndarray:
+    """The parenthesis successor positions, on int64/int32 temporaries
+    built afresh at every bit."""
+    masks = np.asarray(masks, dtype=np.int64)
+    unmatched_close = np.zeros(masks.shape, dtype=np.int32)
+    pos = np.full(masks.shape, -1, dtype=np.int32)
+    for i in range(n - 1, -1, -1):
+        member = ((masks >> np.int64(i)) & 1).astype(bool)
+        pos = np.where(~member & (unmatched_close == 0), np.int32(i), pos)
+        unmatched_close = np.where(
+            member, unmatched_close + 1, np.maximum(unmatched_close - 1, 0)
+        )
+    if bool(np.any(pos < 0)):
+        raise MatchingFailed("a set has no unmatched opening position")
+    return pos
+
+
+def f_int_masks_reference(n: int, c: int, masks: np.ndarray) -> np.ndarray:
+    """The circular Kadane scan for f_c, on int64 temporaries built
+    afresh at every position."""
+    if c < 2:
+        raise DensityOutOfRange(f"vectorized f_c needs integer c >= 2, got {c}")
+    best = np.full(masks.shape, np.int64(-4 * n), dtype=np.int64)
+    gaps = np.zeros(masks.shape, dtype=np.int64)
+    for step in range(2 * n):
+        i = step % n
+        w = np.where((masks >> np.int64(i)) & 1 == 1, np.int64(c - 1), np.int64(-1))
+        best = np.maximum(w, best + w)
+        if step >= n:
+            gaps |= (best < 0).astype(np.int64) << np.int64(i)
+    return masks | gaps
+
+
+def gap_witness_reference(cert) -> tuple | None:
+    """``("gap-at-rank", t, mask)`` for the lowest rank t in d..k-1 that
+    the intervals of ``cert`` do not cover, with the least missing
+    t-set found by a set difference; None if every such rank is full."""
+    n, d, k = cert.universe_size, cert.min_generator_size, cert.claimed_depth
+    members = np.array(
+        interval_members_naive(cert.bottom_masks.tolist(), cert.top_masks.tolist()),
+        dtype=np.int64,
+    )
+    ranks = popcount_array(members)
+    for t in range(d, k):
+        missing = np.setdiff1d(size_masks_array(n, t), members[ranks == t])
+        if len(missing):
+            return ("gap-at-rank", t, int(missing[0]))
+    return None
+

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vsdepth.blocks import (
     BlockStructure,
@@ -15,7 +18,15 @@ from vsdepth.blocks import (
 from vsdepth.errors import DensityOutOfRange, EmptySet
 from vsdepth.setcore import PointSet, make_set, size_masks_array
 
-from oracles import all_block_structures
+from oracles import all_block_structures, f_int_masks_reference
+
+
+@st.composite
+def densities_and_masks(draw):
+    """``(n, c, masks)``: up to 40 masks over [n], n <= 63, 2 <= c <= n+1."""
+    n = draw(st.integers(1, 63))
+    c = draw(st.integers(2, n + 1))
+    return n, c, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
 
 
 def blocks_of(bs):
@@ -184,3 +195,15 @@ class TestVectorizedF:
                     for m, t in zip(masks, tops):
                         A = PointSet(n, int(m))
                         assert int(t) == f_delta(n, A, Density(c, 1)).mask, (n, c, A)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=densities_and_masks())
+    @example(case=(63, 64, [0, 1, (1 << 63) - 1, (1 << 62) | 1]))
+    @example(case=(63, 10**9, [1, 1 << 62, 0b1001 << 40]))
+    def test_matches_reference(self, case):
+        # c up to n+1, and one huge c, take the running best to its largest
+        n, c, masks = case
+        masks = np.array(masks, dtype=np.int64)
+        assert np.array_equal(
+            f_int_masks(n, c, masks), f_int_masks_reference(n, c, masks)
+        )

@@ -73,6 +73,17 @@ class TestConstructVerifyRender:
         assert run(["verify", "--cert", str(cert_path)]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_members_outside_universe_refused(self, tmp_path, capsys):
+        # the text path refuses {3} over [2] at parse time, so the
+        # verifier's outside-universe verdict never reaches INVALID
+        cert_path = tmp_path / "cert.txt"
+        cert_path.write_text(
+            "VSDEPTH-CERT v1\nn=2 d=1 k=2\n"
+            "interval {1} {1,2}\ninterval {3} {2,3}\ntrivial-completion\n"
+        )
+        assert run(["verify", "--cert", str(cert_path)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_universe_above_63_refused(self, capsys):
         assert run(["construct", "--n", "64", "--d", "63"]) == 2
         assert run(["bounds", "--n", "64", "--d", "3"]) == 2

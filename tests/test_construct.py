@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vsdepth import construct
 from vsdepth.blocks import Density, f_delta
@@ -33,6 +35,18 @@ from vsdepth.setcore import (
     popcount_array,
     size_masks_array,
 )
+
+from oracles import chain_successor_bits_reference
+
+
+@st.composite
+def masks_over_n(draw):
+    """``(n, masks)``: up to 40 masks over [n], n <= 63, about half of
+    them sparse (the AND of three random words)."""
+    n = draw(st.integers(1, 63))
+    word = st.integers(0, (1 << n) - 1)
+    sparse = st.tuples(word, word, word).map(lambda w: w[0] & w[1] & w[2])
+    return n, draw(st.lists(st.one_of(word, sparse), max_size=40))
 
 
 def veronese_literals(n, d, c):
@@ -186,6 +200,56 @@ class TestChainSuccessorBits:
         pos = chain_successor_bits(masks, 3)
         succ = masks | (np.int64(1) << pos.astype(np.int64))
         assert list(succ) == [0b011, 0b110, 0b101]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=masks_over_n())
+    @example(case=(63, [(1 << 62) - 1, (1 << 62) - 2, 1 << 62, 0]))
+    @example(case=(63, [(1 << 63) - 1]))
+    def test_matches_reference(self, case):
+        # sparse masks mostly match; one dense mask makes the call raise
+        n, masks = case
+        masks = np.array(masks, dtype=np.int64)
+        try:
+            want = chain_successor_bits_reference(masks, n)
+        except MatchingFailed:
+            with pytest.raises(MatchingFailed):
+                chain_successor_bits(masks, n)
+            return
+        got = chain_successor_bits(masks, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.fixture
+def refuse_unique(monkeypatch):
+    """Make ``np.unique`` raise: since numpy 2.3 it hashes integer input,
+    which on colex masks is some 75 times slower than sorting them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique on a mask array")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    # setdiff1d and isin call the name in their own module, not np.unique
+    monkeypatch.setitem(np.setdiff1d.__wrapped__.__globals__, "unique", refuse)
+
+
+class TestNoHashUnique:
+    def test_guard_bites(self, refuse_unique):
+        with pytest.raises(AssertionError):
+            np.setdiff1d(np.arange(3), np.arange(2))
+
+    def test_build_and_reject_paths(self, refuse_unique):
+        d = 3
+        cert = construct_c4(d)
+        n = cert.universe_size
+        v1, v2 = _uncovered_masks(n, *_veronese_arrays(n, d, 4), (d + 2, d + 3))
+        assert len(v1) and len(v2)
+        i = int(np.flatnonzero(popcount_array(cert.bottom_masks) == d + 2)[0])
+        dropped = Certificate.from_arrays(
+            n, d, cert.claimed_depth,
+            np.delete(cert.bottom_masks, i), np.delete(cert.top_masks, i),
+        )
+        tag, rank, witness = verify_certificate(dropped).first_violation
+        assert (tag, rank) == ("gap-at-rank", d + 2)
+        assert witness.mask == cert.bottom_masks[i]
 
 
 class TestBaseConstructions:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsdepth import setcore
 from vsdepth.construct import (
@@ -29,7 +31,7 @@ from vsdepth.intervals import (
 )
 from vsdepth.setcore import PointSet, binomial, make_set
 
-from oracles import intervals_share_member, set_literal_naive
+from oracles import gap_witness_reference, intervals_share_member, set_literal_naive
 
 
 def iv(n, bottom, top):
@@ -174,10 +176,48 @@ class TestVerify:
     def test_empty_certificate_high_rank_gap(self):
         # the missing 39-set is found without building the middle ranks of [40]
         empty = np.empty(0, dtype=np.int64)
-        report = verify_certificate(Certificate.from_arrays(40, 39, 40, empty, empty))
+        cert = Certificate.from_arrays(40, 39, 40, empty, empty)
+        report = verify_certificate(cert)
         assert not report.valid
         tag, rank, witness = report.first_violation
-        assert (tag, rank) == ("gap-at-rank", 39) and witness.size == 39
+        assert (tag, rank, witness.mask) == gap_witness_reference(cert)
+        assert witness.members() == tuple(range(1, 40))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.sampled_from(
+            [(construct_c2, d) for d in range(1, 5)]
+            + [(construct_c3, d) for d in range(1, 4)]
+            + [(construct_c4, d) for d in range(1, 3)]
+        ),
+        data=st.data(),
+    )
+    def test_dropped_intervals_gap_witness(self, base, data):
+        # the least missing set is the one a plain set difference finds
+        builder, d = base
+        cert = builder(d)
+        drop = data.draw(st.sets(
+            st.integers(0, cert.num_explicit - 1), min_size=1, max_size=3
+        ))
+        drop = sorted(drop)
+        mutant = Certificate.from_arrays(
+            cert.universe_size, d, cert.claimed_depth,
+            np.delete(cert.bottom_masks, drop), np.delete(cert.top_masks, drop),
+        )
+        report = verify_certificate(mutant)
+        assert not report.valid
+        tag, rank, witness = report.first_violation
+        assert (tag, rank, witness.mask) == gap_witness_reference(mutant)
+
+    @pytest.mark.parametrize("bottoms, tops, bad", [
+        ([0b001, 0b100], [0b011, 0b110], 0b100),  # {3} fills the count of {2}
+        ([0b01, 0b10], [0b101, 0b11], 0b101),
+        ([0b01, 0b10], [0b11, -(1 << 63) | 0b10], -(1 << 63) | 0b10),
+    ])
+    def test_members_outside_universe(self, bottoms, tops, bad):
+        report = verify_certificate(Certificate.from_arrays(2, 1, 2, bottoms, tops))
+        assert not report.valid and report.achieved_depth is None
+        assert report.first_violation == ("outside-universe", bad)
 
     def test_trivial_only_certificate(self):
         empty = np.empty(0, dtype=np.int64)
