@@ -17,6 +17,7 @@ from . import construct as construct_mod
 from . import solver as solver_mod
 from .errors import VsdepthError
 from .intervals import (
+    Certificate,
     format_certificate,
     parse_certificate,
     render_stanley,
@@ -46,6 +47,11 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_certificate(path: str) -> Certificate:
+    with open(path, "rb") as fh:
+        return parse_certificate(fh.read())
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     cert = construct_mod.construct_general(args.n, args.d)
     _write_output(format_certificate(cert), args.out)
@@ -53,8 +59,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.cert) as fh:
-        cert = parse_certificate(fh.read())
+    cert = _read_certificate(args.cert)
     report = verify_certificate(cert)
     if report.valid:
         print(f"VALID depth={report.achieved_depth}")
@@ -65,8 +70,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    with open(args.cert) as fh:
-        cert = parse_certificate(fh.read())
+    cert = _read_certificate(args.cert)
     print(render_stanley(cert))
     return 0
 

@@ -184,8 +184,10 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
         )
     n = p1.universe_size
     new_bit = np.int64(1 << n)
-    bottoms = np.concatenate([p1.bottom_masks | new_bit, p2.bottom_masks])
-    tops = np.concatenate([p1.top_masks | new_bit, p2.top_masks])
+    # p2 first: every lifted mask exceeds p2's, so ordered inputs give
+    # an ordered splice and ``from_arrays`` need not sort it
+    bottoms = np.concatenate([p2.bottom_masks, p1.bottom_masks | new_bit])
+    tops = np.concatenate([p2.top_masks, p1.top_masks | new_bit])
     return Certificate.from_arrays(
         n + 1, p2.min_generator_size, a_plus1, bottoms, tops
     )

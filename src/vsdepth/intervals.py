@@ -12,6 +12,7 @@ certificates with millions of intervals stay cheap to build and check.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,6 +36,38 @@ from .setcore import (
 )
 
 FILE_HEADER = "VSDEPTH-CERT v1"
+FILE_TERMINATOR = "trivial-completion"
+
+# The canonical layout that ``format_certificate`` writes, as
+# ``parse_certificate`` reads it byte by byte: the header and parameter
+# lines, then lines ``interval {a,b} {c}`` with single spaces and members
+# of one or two digits without a leading zero, then the terminator.
+_CANONICAL_HEAD = re.compile(
+    re.escape(FILE_HEADER.encode()) + rb"\nn=(\d+) d=(\d+) k=(\d+)\n"
+)
+_CANONICAL_TAIL = f"\n{FILE_TERMINATOR}\n".encode()
+_LINE_START = np.frombuffer(b"interval {", dtype=np.uint8)
+_SLICE_BYTES = 1 << 18
+
+
+def _pair_values() -> np.ndarray:
+    """Entry [x, y] is the member whose spelling ends in the bytes x y
+    just before a separator: 1..9 after ``{`` or ``,``, 10..99 as two
+    digits with no leading zero; 0 for the `` {`` of an empty literal,
+    and 255 (above every n) for any other pair."""
+    table = np.full((256, 256), 255, dtype=np.uint8)
+    zero = ord("0")
+    table[[ord("{"), ord(",")], zero + 1:zero + 10] = np.arange(1, 10)
+    table[zero + 1:zero + 10, zero:zero + 10] = np.arange(10, 100).reshape(9, 10)
+    table[ord(" "), ord("{")] = 0
+    return table
+
+
+_PAIR_VALUE = _pair_values().reshape(-1)  # indexed by 256 * x + y
+# bit of member v (v - 1), and 0 for the empty literal's value 0
+_MEMBER_BIT = np.concatenate(
+    ([0], np.left_shift(1, np.arange(MAX_UNIVERSE, dtype=np.int64)))
+)
 
 
 @dataclass(frozen=True)
@@ -102,14 +135,28 @@ class Certificate:
     def from_arrays(
         cls, n: int, d: int, k: int, bottoms: np.ndarray, tops: np.ndarray
     ) -> "Certificate":
+        """Certificate with the intervals in (bottom, top) order; arrays
+        already in that order are kept, not copied."""
         bottoms = np.asarray(bottoms, dtype=np.int64)
         tops = np.asarray(tops, dtype=np.int64)
-        order = np.lexsort((tops, bottoms))
-        return cls(n, d, k, bottoms[order], tops[order])
+        if not _in_order(bottoms, tops):
+            order = np.lexsort((tops, bottoms))
+            bottoms, tops = bottoms[order], tops[order]
+        return cls(n, d, k, bottoms, tops)
 
     @property
     def num_explicit(self) -> int:
         return len(self.bottom_masks)
+
+
+def _in_order(bottoms: np.ndarray, tops: np.ndarray) -> bool:
+    """True iff the (bottom, top) pairs already ascend as
+    ``np.lexsort((tops, bottoms))`` would order them."""
+    rise = bottoms[1:] > bottoms[:-1]
+    if rise.all():
+        return True
+    tie = bottoms[1:] == bottoms[:-1]
+    return bool(np.all(rise | tie & (tops[1:] >= tops[:-1])))
 
 
 @dataclass
@@ -226,8 +273,10 @@ def render_stanley(cert: Certificate) -> str:
 def format_certificate(cert: Certificate) -> str:
     """Canonical line-oriented certificate text (round-trip stable)."""
     n = cert.universe_size
-    order = np.lexsort((cert.top_masks, cert.bottom_masks))
-    bottoms, tops = cert.bottom_masks[order], cert.top_masks[order]
+    bottoms, tops = cert.bottom_masks, cert.top_masks
+    if not _in_order(bottoms, tops):
+        order = np.lexsort((tops, bottoms))
+        bottoms, tops = bottoms[order], tops[order]
     if bool(np.any((bottoms | tops) >> n)):
         raise ElementOutOfRange(f"an interval has members outside 1..{n}")
     # spelled in slices so that only one slice's literals exist at a time
@@ -238,11 +287,11 @@ def format_certificate(cert: Certificate) -> str:
             format_masks(bottoms[i:i + step]),
             format_masks(tops[i:i + step]),
         ))
-        for i in range(0, len(order), step)
+        for i in range(0, len(bottoms), step)
     )
     return (
         f"{FILE_HEADER}\nn={n} d={cert.min_generator_size} k={cert.claimed_depth}\n"
-        f"{body}trivial-completion\n"
+        f"{body}{FILE_TERMINATOR}\n"
     )
 
 
@@ -256,22 +305,127 @@ def _interval_literals(lines: list[str]):
         yield parts[2]
 
 
-def parse_certificate(text: str) -> Certificate:
-    """Certificate from its text; refuses parameters outside
-    1 <= d <= k <= n <= 63 and malformed lines or set literals."""
+def parse_certificate(data: bytes | str) -> Certificate:
+    """Certificate from its text, as bytes or str; refuses parameters
+    outside 1 <= d <= k <= n <= 63, malformed lines or set literals, and
+    bytes that are not UTF-8.
+
+    Text in the canonical layout of ``format_certificate`` is read as one
+    byte buffer by ``_canonical_masks``, a slice of lines at a time.  Any
+    other text, such as ``{03,+2}``, a space inside braces or CR LF line
+    ends, is read whole by ``_parse_lenient``, literal by literal.
+    """
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    head = _CANONICAL_HEAD.match(raw)
+    if head is not None and raw.endswith(_CANONICAL_TAIL):
+        n, d, k = map(int, head.groups())
+        if _in_domain(n, d, k):
+            body_end = len(raw) - len(_CANONICAL_TAIL) + 1
+            intervals = _canonical_body(raw, head.end(), body_end, n)
+            if intervals is not None:
+                return Certificate.from_arrays(n, d, k, *intervals)
+    return _parse_lenient(raw)
+
+
+def _in_domain(n: int, d: int, k: int) -> bool:
+    """True iff the parameters a certificate file may state are valid."""
+    return 1 <= d <= k <= n <= MAX_UNIVERSE
+
+
+def _canonical_body(raw: bytes, start: int, end: int, n: int):
+    """The bottom and top masks of the interval lines in raw[start:end],
+    read in slices of about ``_SLICE_BYTES`` cut at line ends, so that
+    only one slice's index arrays exist at a time; None unless every
+    line is canonical."""
+    count = raw.count(b"\n", start, end)
+    bottoms = np.empty(count, dtype=np.int64)
+    tops = np.empty(count, dtype=np.int64)
+    buffer = np.frombuffer(raw, dtype=np.uint8)
+    done = 0
+    while start < end:
+        stop = (raw.rfind(b"\n", start, min(start + _SLICE_BYTES, end)) + 1
+                or raw.find(b"\n", start, end) + 1)
+        masks = _canonical_masks(buffer[start:stop], n)
+        if masks is None:
+            return None
+        lines = len(masks) // 2
+        bottoms[done:done + lines] = masks[0::2]
+        tops[done:done + lines] = masks[1::2]
+        done += lines
+        start = stop
+    return bottoms, tops
+
+
+def _canonical_masks(chunk: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """The bottom and top mask of each line of ``chunk``, whole lines as
+    uint8, in turn; None unless every line is canonical.
+
+    The fixed bytes of each line are found by position: ``interval {``
+    at its start, ``}`` just before its line end, and `` {`` after the
+    line's first ``}``; no other ``{`` or ``}`` may occur.  A member is read
+    from the two bytes before each separator (``,`` or ``}``) through
+    ``_PAIR_VALUE``, which admits a digit only after ``{`` or ``,``, and
+    a two-digit member must follow ``{`` or ``,`` too.  So reading back
+    from each ``}`` the members and commas must reach its ``{``, and
+    every byte inside the braces is a digit or a comma.
+    """
+    is_close = chunk == ord("}")
+    ends = np.flatnonzero(chunk == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    for i, byte in enumerate(_LINE_START):
+        if not bool(np.all(chunk[starts + i] == byte)):
+            return None
+    closes = np.flatnonzero(is_close)
+    if len(closes) != 2 * len(ends) or not bool(np.all(closes[1::2] == ends - 1)):
+        return None
+    first = closes[0::2]
+    if not bool(np.all((chunk[first + 1] == ord(" ")) & (chunk[first + 2] == ord("{")))):
+        return None
+    if np.count_nonzero(chunk == ord("{")) != 2 * len(ends):
+        return None
+
+    is_close |= chunk == ord(",")
+    seps = np.flatnonzero(is_close)
+    before = seps - 2
+    pairs = chunk[before].astype(np.intp)
+    pairs <<= 8
+    before += 1
+    pairs |= chunk[before]
+    values = _PAIR_VALUE[pairs]
+    if bool(np.any(values > n)):
+        return None
+    closing = chunk[seps] == ord("}")
+    if bool(np.any((values == 0) & ~closing)):  # "{," opens no literal
+        return None
+    lead = chunk[seps[values >= 10] - 3]
+    if not bool(np.all((lead == ord("{")) | (lead == ord(",")))):
+        return None
+    bits = _MEMBER_BIT[values]
+    literal_starts = np.concatenate(([0], np.flatnonzero(closing)[:-1] + 1))
+    return np.bitwise_or.reduceat(bits, literal_starts)
+
+
+def _parse_lenient(raw: bytes) -> Certificate:
+    """The certificate in ``raw`` read line by line and literal by
+    literal, with every spelling ``parse_masks`` accepts and a message
+    for every refusal."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CertificateFormatError(f"certificate is not UTF-8 text: {exc}") from exc
     lines = text.splitlines()
     if len(lines) < 3 or lines[0] != FILE_HEADER:
-        raise CertificateFormatError("missing VSDEPTH-CERT v1 header")
+        raise CertificateFormatError(f"missing {FILE_HEADER} header")
     try:
         fields = dict(part.split("=", 1) for part in lines[1].split())
         n, d, k = int(fields["n"]), int(fields["d"]), int(fields["k"])
     except (ValueError, KeyError) as exc:
         raise CertificateFormatError(f"bad parameter line: {lines[1]!r}") from exc
-    if not 1 <= d <= k <= n <= MAX_UNIVERSE:
+    if not _in_domain(n, d, k):
         raise CertificateFormatError(
             f"parameters outside 1 <= d <= k <= n <= {MAX_UNIVERSE}: {lines[1]!r}"
         )
-    if lines[-1] != "trivial-completion":
-        raise CertificateFormatError("missing trivial-completion terminator")
+    if lines[-1] != FILE_TERMINATOR:
+        raise CertificateFormatError(f"missing {FILE_TERMINATOR} terminator")
     masks = parse_masks(_interval_literals(lines[2:-1]), n)
     return Certificate.from_arrays(n, d, k, masks[0::2], masks[1::2])

@@ -16,9 +16,15 @@ from vsdepth.blocks import (
     Density,
     verify_block_structure,
 )
-from vsdepth.errors import DensityOutOfRange, MatchingFailed
-from vsdepth.intervals import Interval
-from vsdepth.setcore import PointSet, popcount_array, size_masks_array
+from vsdepth.errors import (
+    CertificateFormatError,
+    DensityOutOfRange,
+    ElementOutOfRange,
+    MatchingFailed,
+    UniverseOutOfRange,
+)
+from vsdepth.intervals import FILE_HEADER, Certificate, Interval
+from vsdepth.setcore import MAX_UNIVERSE, PointSet, popcount_array, size_masks_array
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -346,3 +352,68 @@ def gap_witness_reference(cert) -> tuple | None:
             return ("gap-at-rank", t, int(missing[0]))
     return None
 
+
+
+def parse_certificate_reference(text: str) -> Certificate:
+    """The certificate parser as it was before the byte-level pass:
+    ``str.splitlines``, then one Python step per literal and member
+    (``parse_certificate``, ``_interval_literals``, ``parse_masks`` and
+    ``_element`` of that version, verbatim)."""
+    lines = text.splitlines()
+    if len(lines) < 3 or lines[0] != FILE_HEADER:
+        raise CertificateFormatError("missing VSDEPTH-CERT v1 header")
+    try:
+        fields = dict(part.split("=", 1) for part in lines[1].split())
+        n, d, k = int(fields["n"]), int(fields["d"]), int(fields["k"])
+    except (ValueError, KeyError) as exc:
+        raise CertificateFormatError(f"bad parameter line: {lines[1]!r}") from exc
+    if not 1 <= d <= k <= n <= MAX_UNIVERSE:
+        raise CertificateFormatError(
+            f"parameters outside 1 <= d <= k <= n <= {MAX_UNIVERSE}: {lines[1]!r}"
+        )
+    if lines[-1] != "trivial-completion":
+        raise CertificateFormatError("missing trivial-completion terminator")
+    masks = _parse_masks_reference(_interval_literals_reference(lines[2:-1]), n)
+    return Certificate.from_arrays(n, d, k, masks[0::2], masks[1::2])
+
+
+def _interval_literals_reference(lines: list[str]):
+    """The bottom and top literal of each interval line, in turn."""
+    for line in lines:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "interval":
+            raise CertificateFormatError(f"bad interval line: {line!r}")
+        yield parts[1]
+        yield parts[2]
+
+
+def _parse_masks_reference(literals, n: int) -> np.ndarray:
+    if not 1 <= n <= MAX_UNIVERSE:
+        raise UniverseOutOfRange(f"universe size {n} not in 1..{MAX_UNIVERSE}")
+    bits = {str(i + 1): 1 << i for i in range(n)}
+
+    def masks():
+        for text in literals:
+            text = text.strip()
+            if not (text.startswith("{") and text.endswith("}")):
+                raise ElementOutOfRange(f"malformed set literal {text!r}")
+            mask = 0
+            if len(text) > 2:
+                for tok in text[1:-1].split(","):
+                    bit = bits.get(tok)
+                    if bit is None:
+                        bit = 1 << (_element_reference(tok, text, n) - 1)
+                    mask |= bit
+            yield mask
+
+    return np.fromiter(masks(), dtype=np.int64)
+
+
+def _element_reference(tok: str, text: str, n: int) -> int:
+    try:
+        e = int(tok)
+    except ValueError as exc:
+        raise ElementOutOfRange(f"malformed set literal {text!r}") from exc
+    if not 1 <= e <= n:
+        raise ElementOutOfRange(f"element {e} not in 1..{n}")
+    return e

@@ -84,6 +84,16 @@ class TestConstructVerifyRender:
         assert run(["verify", "--cert", str(cert_path)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_not_utf8_refused(self, command, tmp_path, capsys):
+        cert_path = tmp_path / "cert.txt"
+        cert_path.write_bytes(
+            b"VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1} {1,\xff}\ntrivial-completion\n"
+        )
+        assert run([command, "--cert", str(cert_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "UTF-8" in captured.err
+
     def test_universe_above_63_refused(self, capsys):
         assert run(["construct", "--n", "64", "--d", "63"]) == 2
         assert run(["bounds", "--n", "64", "--d", "3"]) == 2

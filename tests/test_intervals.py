@@ -1,16 +1,19 @@
+import functools
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsdepth import setcore
+from vsdepth import intervals, setcore
 from vsdepth.construct import (
     construct_c2,
     construct_c3,
     construct_c4,
+    construct_general,
     full_ring_certificate,
 )
 from vsdepth.errors import (
@@ -31,7 +34,12 @@ from vsdepth.intervals import (
 )
 from vsdepth.setcore import PointSet, binomial, make_set
 
-from oracles import gap_witness_reference, intervals_share_member, set_literal_naive
+from oracles import (
+    gap_witness_reference,
+    intervals_share_member,
+    parse_certificate_reference,
+    set_literal_naive,
+)
 
 
 def iv(n, bottom, top):
@@ -103,6 +111,27 @@ class TestNewCertificate:
         # from_arrays orders the intervals by bottom
         assert cert.bottom_masks.tolist() == [0b001, 0b010, 0b100]
         assert cert.top_masks.tolist() == [0b011, 0b110, 0b101]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12))
+    def test_order_matches_lexsort(self, pairs):
+        # ties and negative values included: the skip must agree with the sort
+        bottoms = np.array([b for b, _ in pairs], dtype=np.int64)
+        tops = np.array([t for _, t in pairs], dtype=np.int64)
+        cert = Certificate.from_arrays(3, 1, 2, bottoms, tops)
+        order = np.lexsort((tops, bottoms))
+        assert cert.bottom_masks.tolist() == bottoms[order].tolist()
+        assert cert.top_masks.tolist() == tops[order].tolist()
+
+    def test_ordered_input_is_not_sorted(self, monkeypatch):
+        text = format_certificate(construct_c4(2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.lexsort on ordered intervals")
+
+        monkeypatch.setattr(np, "lexsort", refuse)
+        for cert in (construct_c2(3), construct_c3(2), parse_certificate(text)):
+            assert format_certificate(cert).count("\n") == cert.num_explicit + 3
 
 
 class TestVerify:
@@ -321,3 +350,198 @@ class TestFileFormat:
         cert = Certificate.from_arrays(3, 1, 2, [0b1000], [0b1001])
         with pytest.raises(ElementOutOfRange):
             format_certificate(cert)
+
+
+@functools.cache
+def certificate_text(source: tuple) -> str:
+    builders = {"c2": construct_c2, "c3": construct_c3, "c4": construct_c4,
+                "general": construct_general}
+    kind, *args = source
+    return format_certificate(builders[kind](*args))
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the certificate's parameters and
+    masks, or the class of the exception it raised."""
+    try:
+        cert = parse(text)
+    except Exception as exc:
+        return type(exc)
+    return (cert.universe_size, cert.min_generator_size, cert.claimed_depth,
+            cert.bottom_masks.tolist(), cert.top_masks.tolist())
+
+
+MUTATION_SOURCES = (
+    [("c2", d) for d in (1, 2, 3)] + [("c3", d) for d in (1, 2)]
+    + [("c4", d) for d in (1, 2)]
+    + [("general", n, d) for n in range(1, 11) for d in range(1, n + 1)]
+)
+
+
+def mutate(text: str, n: int, data) -> str:
+    """``text`` with one mutation drawn from ``data``: a line deleted or
+    duplicated, two digits swapped, a ``,``/``{``/``}`` deleted, a ``0``,
+    ``+`` or space inserted inside a literal, a member changed to n+1 or
+    0, or CR LF line ends."""
+    kind = data.draw(st.sampled_from([
+        "delete-line", "duplicate-line", "swap-digits", "delete-punctuation",
+        "insert", "member", "crlf",
+    ]))
+
+    def pick(positions):
+        return data.draw(st.sampled_from(positions)) if positions else None
+
+    if kind in ("delete-line", "duplicate-line"):
+        lines = text.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = [] if kind == "delete-line" else [lines[i]] * 2
+        return "".join(lines)
+    if kind == "swap-digits":
+        digits = [p for p, ch in enumerate(text) if ch.isdigit()]
+        i, j = pick(digits), pick(digits)
+        if i is None:
+            return text
+        chars = list(text)
+        chars[i], chars[j] = chars[j], chars[i]
+        return "".join(chars)
+    if kind == "delete-punctuation":
+        p = pick([p for p, ch in enumerate(text) if ch in ",{}"])
+        return text if p is None else text[:p] + text[p + 1:]
+    if kind == "insert":
+        inside = [p for m in re.finditer(r"\{[^{}\n]*\}", text)
+                  for p in range(m.start() + 1, m.end())]
+        p = pick(inside)
+        return text if p is None else text[:p] + data.draw(st.sampled_from("0+ ")) + text[p:]
+    if kind == "member":
+        member = pick(list(re.finditer(r"(?<=[{,])\d+(?=[,}])", text)))
+        if member is None:
+            return text
+        value = data.draw(st.sampled_from([str(n + 1), "0"]))
+        return text[:member.start()] + value + text[member.end():]
+    return text.replace("\n", "\r\n")
+
+
+class TestParseAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(source=st.sampled_from(MUTATION_SOURCES), rounds=st.integers(1, 2),
+           data=st.data())
+    def test_mutants_match_reference(self, source, rounds, data):
+        text = certificate_text(source)
+        n = int(re.search(r"n=(\d+)", text)[1])
+        for _ in range(rounds):
+            text = mutate(text, n, data)
+        expected = parse_outcome(parse_certificate_reference, text)
+        assert parse_outcome(parse_certificate, text.encode()) == expected
+        assert parse_outcome(parse_certificate, text) == expected
+
+    @pytest.mark.parametrize("line", [
+        "interval {1} {1,2}",
+        "interval {} {}",
+        "interval {1} {1,2} ",
+        "interval  {1} {1,2}",
+        "interval\t{1} {1,2}",
+        "interval {1} { 1,2}",
+        "interval {1} {2,1,2}",
+        "interval {01} {1,2}",
+        "interval {+1} {1,2}",
+        "interval {1} {1,,2}",
+        "interval {1} {1,2,}",
+        "interval {,1} {1,2}",
+        "interval {1} {12}",
+        "interval {1} {123}",
+        "interval {1} {1,230}",
+        "interval {1} {1,2}3",
+        "interval {1} {1,2},",
+        "interval {1}3 {1,2}",
+        "interval {1} {0}",
+        "interval {1}{1,2}",
+        "interval {1} {1,2}}",
+        "interval {1} {{1,2}",
+        "interval {1} 1,2}",
+        "interval {1 {1,2}",
+        "interval {1} {1,\u0662}",
+        "interval {1} {1,2}\u2028interval {2} {2,3}",
+        "interval {1} {1,2}\x0binterval {2} {2,3}",
+        "intervax {1} {1,2}",
+        "",
+        "interval {63} {1,63}",
+        "interval {62,63} {62,63}",
+        "interval {1} {1,64}",
+    ])
+    @pytest.mark.parametrize("n", [12, 63])
+    def test_near_canonical_lines(self, line, n):
+        text = f"VSDEPTH-CERT v1\nn={n} d=1 k=2\ninterval {{2}} {{2,3}}\n{line}\ntrivial-completion\n"
+        expected = parse_outcome(parse_certificate_reference, text)
+        assert parse_outcome(parse_certificate, text.encode()) == expected
+
+    @pytest.mark.parametrize("head, tail", [
+        ("VSDEPTH-CERT v1\nn=03 d=1 k=2\n", "trivial-completion\n"),
+        ("VSDEPTH-CERT v1\nn=3 d=1 k=2 \n", "trivial-completion\n"),
+        ("VSDEPTH-CERT v1\nk=2 d=1 n=3\n", "trivial-completion\n"),
+        ("VSDEPTH-CERT v1\nn=3 d=1 k=2\n", "trivial-completion"),
+        ("VSDEPTH-CERT v1\nn=3 d=1 k=2\n", "trivial-completion\n\n"),
+        ("VSDEPTH-CERT v1\nn=2 d=1 k=2\n", "trivial-completion\n"),
+        ("\ufeffVSDEPTH-CERT v1\nn=3 d=1 k=2\n", "trivial-completion\n"),
+    ])
+    def test_header_and_terminator_spellings(self, head, tail):
+        text = f"{head}interval {{1}} {{1,2}}\ninterval {{2}} {{2,3}}\ninterval {{3}} {{1,3}}\n{tail}"
+        expected = parse_outcome(parse_certificate_reference, text)
+        assert parse_outcome(parse_certificate, text.encode()) == expected
+
+    def test_lenient_line_past_the_first_slice(self):
+        # one spelling the byte pass refuses, in the last of several slices
+        text = certificate_text(("c2", 8))
+        assert len(text) > 4 * intervals._SLICE_BYTES
+        cut = text.rindex("interval {")
+        member = re.search(r"\d+", text[cut:])
+        lenient = text[:cut + member.start()] + "0" + text[cut + member.start():]
+        for variant in (text, lenient):
+            expected = parse_outcome(parse_certificate_reference, variant)
+            assert parse_outcome(parse_certificate, variant.encode()) == expected
+
+    def test_not_utf8(self):
+        with pytest.raises(CertificateFormatError, match="UTF-8"):
+            parse_certificate(b"VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1} {1,\xff}\n"
+                              b"trivial-completion\n")
+
+
+@pytest.fixture
+def refuse_lenient(monkeypatch):
+    """Make the literal-by-literal fallback raise, so that only the
+    byte-level pass can read a certificate."""
+    def refuse(raw):
+        raise AssertionError("certificate text read literal by literal")
+
+    monkeypatch.setattr(intervals, "_parse_lenient", refuse)
+
+
+class TestCanonicalTextTakesTheBytePass:
+    def test_guard_bites(self, refuse_lenient):
+        text = format_certificate(construct_c3(1)).replace("\n", "\r\n")
+        with pytest.raises(AssertionError):
+            parse_certificate(text)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_base_constructions(self, d, refuse_lenient):
+        # plus no intervals at all, and an empty literal
+        empty = np.empty(0, dtype=np.int64)
+        certs = [construct_c2(d), construct_c3(d), construct_c4(d),
+                 Certificate.from_arrays(d, d, d, empty, empty),
+                 Certificate.from_arrays(d + 1, 1, 1, [0], [(1 << d + 1) - 1])]
+        for cert in certs:
+            text = format_certificate(cert)
+            back = parse_certificate(text.encode())
+            assert np.array_equal(back.bottom_masks, cert.bottom_masks)
+            assert np.array_equal(back.top_masks, cert.top_masks)
+            assert format_certificate(back) == text
+
+    def test_largest_universe(self, refuse_lenient):
+        # member 63 is bit 62, the top bit an int64 mask may hold
+        full = (1 << 63) - 1
+        cert = Certificate.from_arrays(63, 1, 63, [1, 1 << 62, 0], [full, 1 << 62, full])
+        text = format_certificate(cert)
+        assert "interval {63} {63}\n" in text
+        back = parse_certificate(text.encode())
+        assert back.bottom_masks.tolist() == [0, 1, 1 << 62]
+        assert back.top_masks.tolist() == [full, full, 1 << 62]
+        assert format_certificate(back) == text
