@@ -19,20 +19,16 @@ from .construct import (
     construct_c3,
     construct_c4,
     construct_general,
-    has_covered_superset,
 )
 from .intervals import (
     Certificate,
-    Interval,
     VerifyReport,
-    covers,
-    disjoint,
     format_certificate,
     parse_certificate,
     render_stanley,
     verify_certificate,
 )
-from .setcore import PointSet, binomial, circ_block, make_set
+from .setcore import PointSet, make_set
 from .solver import (
     SearchBudget,
     SolveResult,
@@ -47,29 +43,23 @@ __all__ = [
     "Certificate",
     "CircBlock",
     "Density",
-    "Interval",
     "PointSet",
     "SearchBudget",
     "SolveResult",
     "VerifyReport",
-    "binomial",
     "block_structure",
     "block_structure_violation",
     "bounds",
     "certify_at_least",
-    "circ_block",
     "compose_plus1",
     "conjecture_scan",
     "construct_c2",
     "construct_c3",
     "construct_c4",
     "construct_general",
-    "covers",
-    "disjoint",
     "exact_sdepth",
     "f_delta",
     "format_certificate",
-    "has_covered_superset",
     "make_set",
     "parse_certificate",
     "render_stanley",

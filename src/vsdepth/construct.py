@@ -9,9 +9,10 @@ to the base constructions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismat
 from .intervals import Certificate, verify_certificate
 from .setcore import (
     MAX_UNIVERSE,
-    PointSet,
     interval_members,
     mask_bits,
     popcount_array,
@@ -48,24 +48,6 @@ def _uncovered_masks(
         )
         for t in ranks
     ]
-
-
-def has_covered_superset(D: PointSet, n: int, d: int, c: int) -> bool:
-    """Whether some superset of D is covered by an interval [A, f_c(A)].
-
-    Every covered set lies under some top f_c(A), and tops themselves are
-    covered, so it is enough to look for a top containing D.
-    """
-    if c < 2 or d < 1 or n != c * d + c - 1:
-        raise BadParameters(
-            f"need c >= 2, d >= 1 and n = cd+c-1, got n={n}, c={c}, d={d}"
-        )
-    if D.n != n:
-        raise UniverseMismatch(f"universe {D.n} != n={n}")
-    if D.size < d + 1:
-        raise BadParameters(f"|D|={D.size} must be at least d+1={d + 1}")
-    tops = f_int_masks(n, c, size_masks_array(n, d))
-    return bool(np.any(D.mask & ~tops == 0))
 
 
 def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
@@ -195,6 +177,44 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
 
 _BASE_BUILDERS = {2: construct_c2, 3: construct_c3, 4: construct_c4}
 
+# The most members ``construct_general`` lets the verifier enumerate: it
+# holds and sorts them in one int64 array, so 2^27 members are 1 GiB
+# before any working copy.
+MAX_MEMBERS = 1 << 27
+
+
+class Step(NamedTuple):
+    """A cell of ``plan``: how (m, e) is built, the depth k it claims, and
+    how many members ``verify_certificate`` enumerates for it."""
+
+    kind: str  # "full", "trivial", "base" (the paper's c) or "compose"
+    c: int
+    depth: int
+    members: int
+
+
+@functools.cache
+def plan(m: int, e: int) -> Step:
+    """How ``construct_general`` builds (m, e): the full ring at e = 0,
+    else by c = min(floor((m+1)/(e+1)), 4) the base at m = ce+c-1, the
+    plus-one composition down to it, or no interval at all if c < 2."""
+    if e == 0:
+        return Step("full", 0, m, 1 << m)
+    c = min((m + 1) // (e + 1), 4)
+    if c <= 1:
+        return Step("trivial", 0, e, 0)
+    if m == c * e + c - 1:
+        # c2 and c3 are C(m,e) cubes of dimension c-1; c4 adds to its
+        # 3-cubes one edge per (e+2)-set that they leave uncovered
+        cubes = math.comb(m, e)
+        if c < 4:
+            members = cubes << (c - 1)
+        else:
+            members = 8 * cubes + 2 * (math.comb(m, e + 2) - 3 * cubes)
+        return Step("base", c, e + c - 1, members)
+    p1, p2 = plan(m - 1, e - 1), plan(m - 1, e)
+    return Step("compose", 0, p2.depth, p1.members + p2.members)
+
 
 def _check_degree(n: int, d: int) -> None:
     if not 1 <= d <= n <= MAX_UNIVERSE:
@@ -204,31 +224,35 @@ def _check_degree(n: int, d: int) -> None:
 def construct_general(n: int, d: int) -> Certificate:
     """Certified lower-bound certificate for arbitrary 1 <= d <= n <= 63.
 
-    Chooses the strongest available c = min(floor((n+1)/(d+1)), 4), takes
-    the base construction at n' = cd+c-1, and walks up to n with the
-    plus-one composition; the degree-0 leg of each composition is the
-    full-ring interval.  The result is verified once, here; a failure is
-    an internal error and raises ``AssertionError``.
+    Builds the certificate that ``plan`` lays out; the degree-0 leg of
+    each composition is the full-ring interval.  A plan whose verification
+    would enumerate more than ``MAX_MEMBERS`` sets is refused with
+    ``BadParameters`` before anything is built.  The result is verified
+    once, here; a failure is an internal error and raises
+    ``AssertionError``.
     """
     _check_degree(n, d)
+    members = plan(n, d).members
+    if members > MAX_MEMBERS:
+        raise BadParameters(
+            f"the certificate for n={n}, d={d} has {members} members to "
+            f"verify, above the limit of {MAX_MEMBERS}"
+        )
     memo: dict[tuple[int, int], Certificate] = {}
 
     def build(m: int, e: int) -> Certificate:
         if (m, e) in memo:
             return memo[(m, e)]
-        if e == 0:
+        step = plan(m, e)
+        if step.kind == "full":
             cert = full_ring_certificate(m)
+        elif step.kind == "trivial":
+            empty = np.empty(0, dtype=np.int64)
+            cert = Certificate.from_arrays(m, e, step.depth, empty, empty)
+        elif step.kind == "base":
+            cert = _BASE_BUILDERS[step.c](e)
         else:
-            c = min((m + 1) // (e + 1), 4)
-            if c <= 1:
-                cert = Certificate.from_arrays(
-                    m, e, e,
-                    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                )
-            elif m == c * e + c - 1:
-                cert = _BASE_BUILDERS[c](e)
-            else:
-                cert = compose_plus1(build(m - 1, e - 1), build(m - 1, e))
+            cert = compose_plus1(build(m - 1, e - 1), build(m - 1, e))
         memo[(m, e)] = cert
         return cert
 
@@ -254,15 +278,16 @@ class Bounds:
 
 
 def bounds(n: int, d: int) -> Bounds:
-    """Closed-form bounds; ``known_exact`` is set only where proved.
+    """Bounds at (n, d); ``known_exact`` is set only where proved.
 
-    Exact values: the counting upper bound is attained for n < 5d+4 and
-    for d >= ceil(n/2) (where it collapses to d), and d = 1 is the known
-    ceil(n/2) case.
+    ``lower_certified`` is the depth of ``plan``, which is what
+    ``construct_general`` certifies.  Exact values: the counting upper
+    bound is attained for n < 5d+4 and for d >= ceil(n/2) (where it
+    collapses to d), and d = 1 is the known ceil(n/2) case.
     """
     _check_degree(n, d)
     upper = d + (n - d) // (d + 1)
-    lower = max(d, d + min((n + 1) // (d + 1), 4) - 1)
+    lower = plan(n, d).depth
     known: Optional[int] = None
     if n < 5 * d + 4 or d >= math.ceil(n / 2) or d == 1:
         known = upper

@@ -25,10 +25,6 @@ class DensityOutOfRange(VsdepthError):
     pass
 
 
-class BottomTooSmall(VsdepthError):
-    pass
-
-
 class RefusesUnverified(VsdepthError):
     pass
 

@@ -18,13 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BottomTooSmall,
-    CertificateFormatError,
-    ElementOutOfRange,
-    RefusesUnverified,
-    UniverseMismatch,
-)
+from .errors import CertificateFormatError, ElementOutOfRange, RefusesUnverified
 from .setcore import (
     MAX_UNIVERSE,
     PointSet,
@@ -68,52 +62,6 @@ _PAIR_VALUE = _pair_values().reshape(-1)  # indexed by 256 * x + y
 _MEMBER_BIT = np.concatenate(
     ([0], np.left_shift(1, np.arange(MAX_UNIVERSE, dtype=np.int64)))
 )
-
-
-@dataclass(frozen=True)
-class Interval:
-    """The subcube [bottom, top] = all C with bottom <= C <= top."""
-
-    bottom: PointSet
-    top: PointSet
-
-    def __post_init__(self) -> None:
-        if self.bottom.n != self.top.n:
-            raise UniverseMismatch(
-                f"interval ends in different universes: {self.bottom.n} vs {self.top.n}"
-            )
-        if self.bottom.mask & ~self.top.mask:
-            raise BottomTooSmall(
-                f"bottom {self.bottom} not contained in top {self.top}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.bottom.n
-
-    @property
-    def dimension(self) -> int:
-        return self.top.size - self.bottom.size
-
-
-def covers(iv: Interval, C: PointSet) -> bool:
-    """True iff bottom <= C <= top."""
-    if C.n != iv.n:
-        raise UniverseMismatch(f"universe sizes differ: {iv.n} vs {C.n}")
-    return iv.bottom.mask & ~C.mask == 0 and C.mask & ~iv.top.mask == 0
-
-
-def disjoint(i1: Interval, i2: Interval) -> bool:
-    """True iff the subcubes share no set.
-
-    Two intervals overlap exactly when the union of the bottoms fits
-    inside the intersection of the tops (that union is then a common
-    member), so the test is O(1).
-    """
-    if i1.n != i2.n:
-        raise UniverseMismatch(f"universe sizes differ: {i1.n} vs {i2.n}")
-    both = i1.bottom.mask | i2.bottom.mask
-    return bool(both & ~(i1.top.mask & i2.top.mask))
 
 
 @dataclass
@@ -311,17 +259,19 @@ def parse_certificate(data: bytes | str) -> Certificate:
     bytes that are not UTF-8.
 
     Text in the canonical layout of ``format_certificate`` is read as one
-    byte buffer by ``_canonical_masks``, a slice of lines at a time.  Any
-    other text, such as ``{03,+2}``, a space inside braces or CR LF line
-    ends, is read whole by ``_parse_lenient``, literal by literal.
+    byte buffer by ``_canonical_masks``, a slice of lines at a time; CR LF
+    line ends are first made LF, as ``_parse_lenient`` splits on both.
+    Any other text, such as ``{03,+2}`` or a space inside braces, is read
+    whole by ``_parse_lenient``, literal by literal.
     """
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    head = _CANONICAL_HEAD.match(raw)
-    if head is not None and raw.endswith(_CANONICAL_TAIL):
+    lf = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
+    head = _CANONICAL_HEAD.match(lf)
+    if head is not None and lf.endswith(_CANONICAL_TAIL):
         n, d, k = map(int, head.groups())
         if _in_domain(n, d, k):
-            body_end = len(raw) - len(_CANONICAL_TAIL) + 1
-            intervals = _canonical_body(raw, head.end(), body_end, n)
+            body_end = len(lf) - len(_CANONICAL_TAIL) + 1
+            intervals = _canonical_body(lf, head.end(), body_end, n)
             if intervals is not None:
                 return Certificate.from_arrays(n, d, k, *intervals)
     return _parse_lenient(raw)

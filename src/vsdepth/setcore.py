@@ -46,15 +46,6 @@ class PointSet:
     def members(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
 
-    def __contains__(self, point: int) -> bool:
-        return 1 <= point <= self.n and bool(self.mask >> (point - 1) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
-
-    def __len__(self) -> int:
-        return self.size
-
     def _same_universe(self, other: "PointSet") -> None:
         if self.n != other.n:
             raise UniverseMismatch(f"universe sizes differ: {self.n} vs {other.n}")
@@ -63,25 +54,7 @@ class PointSet:
         self._same_universe(other)
         return PointSet(self.n, self.mask | other.mask)
 
-    def intersection(self, other: "PointSet") -> "PointSet":
-        self._same_universe(other)
-        return PointSet(self.n, self.mask & other.mask)
-
-    def difference(self, other: "PointSet") -> "PointSet":
-        self._same_universe(other)
-        return PointSet(self.n, self.mask & ~other.mask)
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.n, ~self.mask & ((1 << self.n) - 1))
-
-    def issubset(self, other: "PointSet") -> bool:
-        self._same_universe(other)
-        return self.mask & ~other.mask == 0
-
     __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __le__ = issubset
 
     def __str__(self) -> str:
         return format_masks([self.mask])[0]
@@ -164,26 +137,6 @@ def _element(tok: str, text: str, n: int) -> int:
     if not 1 <= e <= n:
         raise ElementOutOfRange(f"element {e} not in 1..{n}")
     return e
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n,k); k > n gives 0."""
-    if n < 0 or n > MAX_UNIVERSE:
-        raise UniverseOutOfRange(f"n={n} not in 0..{MAX_UNIVERSE}")
-    if k < 0:
-        raise ElementOutOfRange(f"k={k} negative")
-    if k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def circ_block(n: int, i: int, j: int) -> PointSet:
-    """The clockwise run from i through j inclusive; wraps past n to 1."""
-    _check_universe(n)
-    for point in (i, j):
-        if not 1 <= point <= n:
-            raise ElementOutOfRange(f"point {point} not in 1..{n}")
-    return PointSet(n, circ_mask(n, i, j))
 
 
 def circ_mask(n: int, i: int, j: int) -> int:

@@ -14,6 +14,7 @@ from vsdepth.blocks import (
     BlockStructure,
     CircBlock,
     Density,
+    f_int_masks,
     verify_block_structure,
 )
 from vsdepth.errors import (
@@ -23,7 +24,7 @@ from vsdepth.errors import (
     MatchingFailed,
     UniverseOutOfRange,
 )
-from vsdepth.intervals import FILE_HEADER, Certificate, Interval
+from vsdepth.intervals import FILE_HEADER, Certificate
 from vsdepth.setcore import MAX_UNIVERSE, PointSet, popcount_array, size_masks_array
 
 
@@ -78,16 +79,28 @@ def all_block_structures(n: int, A: PointSet, delta: Density) -> list[BlockStruc
     return found
 
 
-def intervals_share_member(i1: Interval, i2: Interval) -> bool:
-    """Exhaustive membership comparison over the whole Boolean lattice."""
-    n = i1.n
+def intervals_share_member(n: int, b1: int, t1: int, b2: int, t2: int) -> bool:
+    """Whether the intervals [b1, t1] and [b2, t2] over [n] share a set,
+    by membership comparison over the whole Boolean lattice."""
     for mask in range(1 << n):
-        C = PointSet(n, mask)
-        in1 = i1.bottom.mask & ~mask == 0 and mask & ~i1.top.mask == 0
-        in2 = i2.bottom.mask & ~mask == 0 and mask & ~i2.top.mask == 0
+        in1 = b1 & ~mask == 0 and mask & ~t1 == 0
+        in2 = b2 & ~mask == 0 and mask & ~t2 == 0
         if in1 and in2:
             return True
     return False
+
+
+def has_covered_superset(D: int, n: int, d: int, c: int) -> bool:
+    """Whether some superset of the set with mask D is covered by an
+    interval [A, f_c(A)] over the d-sets A of [n], n = cd+c-1.
+
+    Every covered set lies under some top f_c(A), and tops themselves are
+    covered, so it is enough to look for a top containing D.
+    """
+    if c < 2 or d < 1 or n != c * d + c - 1:
+        raise ValueError(f"need c >= 2, d >= 1 and n = cd+c-1, got n={n}, c={c}, d={d}")
+    tops = f_int_masks(n, c, size_masks_array(n, d))
+    return bool(np.any(D & ~tops == 0))
 
 
 def iter_size_masks(n: int, t: int):

@@ -20,7 +20,7 @@ from vsdepth.construct import (
     construct_general,
 )
 from vsdepth.intervals import verify_certificate
-from vsdepth.setcore import PointSet, binomial, popcount_array, size_masks_array
+from vsdepth.setcore import PointSet, size_masks_array
 from vsdepth.solver import SearchBudget, certify_at_least, exact_sdepth
 
 from oracles import all_block_structures
@@ -51,7 +51,7 @@ def test_criterion_2_construction_c3():
         ok = ok and report.valid and report.achieved_depth == d + 2
         # every (d+1)-set covered exactly once: with disjointness already
         # verified, full coverage of the rank is coverage exactly once
-        ok = ok and report.rank_coverage[d + 1] == binomial(n, d + 1)
+        ok = ok and report.rank_coverage[d + 1] == math.comb(n, d + 1)
     elapsed = time.time() - t0
     _report(2, "c=3 construction, d=1..8, depth d+2, rank d+1 tiled",
             ok and elapsed < 60.0, elapsed)
@@ -120,7 +120,7 @@ def test_criterion_6_counting_identity():
             n = c * d + c - 1
             if n > 63:
                 break
-            ok = ok and (c - 1) * binomial(n, d) == binomial(n, d + 1)
+            ok = ok and (c - 1) * math.comb(n, d) == math.comb(n, d + 1)
             checked += 1
     ok = ok and checked > 0
     _report(6, f"(c-1)C(n,d) = C(n,d+1) at n = cd+c-1, {checked} cases",

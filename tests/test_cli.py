@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,15 @@ class TestConstructVerifyRender:
         assert run(["construct", "--n", "64", "--d", "63"]) == 2
         assert run(["bounds", "--n", "64", "--d", "3"]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n,d", [(40, 3), (63, 2), (63, 7), (63, 31)])
+    def test_oversized_construct_refused(self, n, d, capsys):
+        construct.plan.cache_clear()
+        start = time.perf_counter()
+        assert run(["construct", "--n", str(n), "--d", str(d)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "above the limit" in captured.err
 
     def test_unverified_construction_is_internal_error(self, monkeypatch, capsys):
         def dropped(d):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -18,25 +20,18 @@ from vsdepth.construct import (
     construct_c4,
     construct_general,
     full_ring_certificate,
-    has_covered_superset,
+    plan,
 )
-from vsdepth.errors import (
-    BadParameters,
-    DepthMismatch,
-    MatchingFailed,
-    UniverseMismatch,
-)
-from vsdepth.intervals import Certificate, Interval, covers, verify_certificate
+from vsdepth.errors import BadParameters, DepthMismatch, MatchingFailed
+from vsdepth.intervals import Certificate, verify_certificate
 from vsdepth.setcore import (
-    PointSet,
-    binomial,
     format_masks,
     make_set,
     popcount_array,
     size_masks_array,
 )
 
-from oracles import chain_successor_bits_reference
+from oracles import chain_successor_bits_reference, has_covered_superset
 
 
 @st.composite
@@ -86,7 +81,7 @@ class TestVeroneseIntervals:
                 n = c * d + c - 1
                 if n > 63:
                     break
-                assert (c - 1) * binomial(n, d) == binomial(n, d + 1)
+                assert (c - 1) * math.comb(n, d) == math.comb(n, d + 1)
 
     def test_rank_dplus1_tiled(self):
         # each (d+1)-set inside exactly one interval
@@ -100,7 +95,7 @@ class TestVeroneseIntervals:
                     if (free >> bit) & 1:
                         m = bottom | (1 << bit)
                         hits[m] = hits.get(m, 0) + 1
-            assert len(hits) == binomial(n, d + 1)
+            assert len(hits) == math.comb(n, d + 1)
             assert set(hits.values()) == {1}
 
 
@@ -133,44 +128,36 @@ class TestUncovered:
 
 class TestHasCoveredSuperset:
     def test_covered_triple_via_top(self):
-        assert has_covered_superset(make_set(7, [1, 2, 3]), 7, 1, 4)
+        assert has_covered_superset(make_set(7, [1, 2, 3]).mask, 7, 1, 4)
 
     def test_covered_pair(self):
-        assert has_covered_superset(make_set(5, [1, 5]), 5, 1, 3)
+        assert has_covered_superset(make_set(5, [1, 5]).mask, 5, 1, 3)
 
     def test_uncovered_triples_have_none(self):
         # uncovered top-rank sets have no room for a covered superset
         for m in uncovered(5, 1, 3, 3).tolist():
-            assert not has_covered_superset(PointSet(5, m), 5, 1, 3)
+            assert not has_covered_superset(m, 5, 1, 3)
 
     def test_against_definition(self):
         # some S with D <= S lies in some [A, f_c(A)], tops from scalar f_delta
         for c, d in ((3, 1), (4, 1), (3, 2)):
             n = c * d + c - 1
-            bottoms = [
-                make_set(n, members)
-                for members in itertools.combinations(range(1, n + 1), d)
-            ]
-            ivs = [Interval(A, f_delta(n, A, Density(c, 1))) for A in bottoms]
+            ivs = []
+            for members in itertools.combinations(range(1, n + 1), d):
+                A = make_set(n, members)
+                ivs.append((A.mask, f_delta(n, A, Density(c, 1)).mask))
             for t in range(d + 1, d + c):
                 for members in itertools.combinations(range(1, n + 1), t):
-                    D = make_set(n, members)
-                    rest = [i for i in range(n) if not D.mask >> i & 1]
+                    D = make_set(n, members).mask
+                    rest = [i for i in range(n) if not D >> i & 1]
                     expected = any(
-                        covers(iv, PointSet(n, D.mask | sum(1 << i for i in extra)))
+                        bottom & ~S == 0 and S & ~top == 0
                         for size in range(len(rest) + 1)
                         for extra in itertools.combinations(rest, size)
-                        for iv in ivs
+                        for S in [D | sum(1 << i for i in extra)]
+                        for bottom, top in ivs
                     )
                     assert has_covered_superset(D, n, d, c) == expected, (c, d, D)
-
-    def test_argument_checks(self):
-        with pytest.raises(BadParameters):
-            has_covered_superset(make_set(5, [1]), 5, 1, 3)
-        with pytest.raises(UniverseMismatch):
-            has_covered_superset(make_set(6, [1, 2]), 5, 1, 3)
-        with pytest.raises(BadParameters):
-            has_covered_superset(make_set(6, [1, 2]), 6, 1, 3)
 
 
 class TestChainSuccessorBits:
@@ -276,12 +263,12 @@ class TestBaseConstructions:
 
     def test_c2_is_bijection_on_ranks(self):
         cert = construct_c2(3)
-        assert cert.num_explicit == binomial(7, 3) == binomial(7, 4)
+        assert cert.num_explicit == math.comb(7, 3) == math.comb(7, 4)
 
     def test_c4_explicit_count(self):
         cert = construct_c4(1)
         # 7 cube intervals plus the matched leftover pairs
-        assert cert.num_explicit == binomial(7, 1) + 14
+        assert cert.num_explicit == math.comb(7, 1) + 14
 
     def test_bad_degree(self):
         for builder in (construct_c2, construct_c3, construct_c4):
@@ -382,6 +369,53 @@ class TestConstructGeneral:
         monkeypatch.setitem(construct._BASE_BUILDERS, 3, dropped)
         with pytest.raises(AssertionError, match="gap-at-rank"):
             construct_general(6, 1)
+
+
+def closed_form_lower(n, d):
+    """The paper's certified bound: d + min(floor((n+1)/(d+1)), 4) - 1,
+    and never below d."""
+    return max(d, d + min((n + 1) // (d + 1), 4) - 1)
+
+
+class TestPlan:
+    def test_depth_is_closed_form(self):
+        for n in range(1, 64):
+            for d in range(1, n + 1):
+                assert plan(n, d).depth == closed_form_lower(n, d), (n, d)
+                assert bounds(n, d).lower_certified == plan(n, d).depth
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_construct_claims_lower_bound(self, n):
+        for d in range(1, n + 1):
+            assert construct_general(n, d).claimed_depth == bounds(n, d).lower_certified
+
+    @pytest.mark.parametrize("n,d", [
+        (3, 1), (5, 1), (7, 1), (11, 2), (9, 2), (11, 3), (13, 4), (14, 5),
+    ])
+    def test_members_match_certificate(self, n, d):
+        # c2, c3 and c4 bases, then compositions over each
+        cert = construct_general(n, d)
+        dims = popcount_array(cert.top_masks & ~cert.bottom_masks)
+        assert plan(n, d).members == sum(1 << int(k) for k in dims.tolist())
+
+    def test_limit(self):
+        assert plan(26, 1).members <= construct.MAX_MEMBERS
+        for n, d in ((40, 3), (63, 2), (63, 7), (63, 31)):
+            assert plan(n, d).members > construct.MAX_MEMBERS
+
+    def test_oversized_refused_before_building(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("a certificate was built")
+
+        monkeypatch.setattr(construct, "full_ring_certificate", build)
+        monkeypatch.setattr(construct, "compose_plus1", build)
+        for c in (2, 3, 4):
+            monkeypatch.setitem(construct._BASE_BUILDERS, c, build)
+        plan.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(BadParameters, match="above the limit"):
+            construct_general(63, 31)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBounds:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import re
 
@@ -20,19 +21,15 @@ from vsdepth.errors import (
     CertificateFormatError,
     ElementOutOfRange,
     RefusesUnverified,
-    UniverseMismatch,
 )
 from vsdepth.intervals import (
     Certificate,
-    Interval,
-    covers,
-    disjoint,
     format_certificate,
     parse_certificate,
     render_stanley,
     verify_certificate,
 )
-from vsdepth.setcore import PointSet, binomial, make_set
+from vsdepth.setcore import make_set
 
 from oracles import (
     gap_witness_reference,
@@ -40,55 +37,6 @@ from oracles import (
     parse_certificate_reference,
     set_literal_naive,
 )
-
-
-def iv(n, bottom, top):
-    return Interval(make_set(n, bottom), make_set(n, top))
-
-
-class TestCovers:
-    def test_inside(self):
-        assert covers(iv(5, [1], [1, 4, 5]), make_set(5, [1, 4]))
-
-    def test_bottom_not_contained(self):
-        assert not covers(iv(5, [1], [1, 4, 5]), make_set(5, [4]))
-
-    def test_outside_top(self):
-        assert not covers(iv(5, [1], [1, 4, 5]), make_set(5, [1, 2]))
-
-    def test_universe_mismatch(self):
-        with pytest.raises(UniverseMismatch):
-            covers(iv(5, [1], [1, 4]), make_set(6, [1]))
-
-
-class TestDisjoint:
-    def test_examples(self):
-        assert disjoint(iv(5, [1], [1, 4, 5]), iv(5, [2], [1, 2, 5]))
-        assert disjoint(iv(5, [1], [1, 2, 3]), iv(5, [2], [2, 3, 4]))
-        assert not disjoint(iv(5, [1], [1, 2, 3]), iv(5, [1, 2], [1, 2, 4]))
-
-    def test_agrees_with_exhaustive_small(self):
-        n = 4
-        pairs = []
-        for bm in range(1 << n):
-            for tm in range(1 << n):
-                if bm & ~tm == 0:
-                    pairs.append(Interval(PointSet(n, bm),
-                                          PointSet(n, tm)))
-        for i1, i2 in itertools.combinations(pairs[:60], 2):
-            assert disjoint(i1, i2) == (not intervals_share_member(i1, i2))
-
-    def test_agrees_with_exhaustive_random(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            n = rng.randint(2, 10)
-            def rand_iv():
-                t = rng.getrandbits(n)
-                b = t & rng.getrandbits(n)
-                return Interval(PointSet(n, b),
-                                PointSet(n, t))
-            i1, i2 = rand_iv(), rand_iv()
-            assert disjoint(i1, i2) == (not intervals_share_member(i1, i2))
 
 
 def cert_of(n, d, k, intervals):
@@ -143,7 +91,7 @@ class TestVerify:
         cert = construct_c3(1)
         report = verify_certificate(cert)
         assert report.valid and report.achieved_depth == 3
-        assert report.rank_coverage[2] == 10 == binomial(5, 2)
+        assert report.rank_coverage[2] == 10 == math.comb(5, 2)
         # every rank d..n is counted, not only d..k-1
         assert report.rank_coverage == {1: 5, 2: 10, 3: 5, 4: 0, 5: 0}
 
@@ -158,6 +106,29 @@ class TestVerify:
         cert = cert_of(3, 1, 2, [([1], [1, 2]), ([2], [1, 2, 3]), ([3], [1, 3])])
         report = verify_certificate(cert)
         assert not report.valid and report.first_violation[0] == "overlap"
+
+    @staticmethod
+    def pair_verdict(n, b1, t1, b2, t2):
+        """The verifier's violation tag for two intervals over [n], or
+        None; with d = k = 0 only an overlap can be reported."""
+        report = verify_certificate(Certificate.from_arrays(n, 0, 0, [b1, b2], [t1, t2]))
+        return None if report.valid else report.first_violation[0]
+
+    def test_overlap_matches_exhaustive_small(self):
+        n = 4
+        pairs = [(b, t) for b in range(1 << n) for t in range(1 << n) if b & ~t == 0]
+        for (b1, t1), (b2, t2) in itertools.combinations(pairs[:60], 2):
+            want = "overlap" if intervals_share_member(n, b1, t1, b2, t2) else None
+            assert self.pair_verdict(n, b1, t1, b2, t2) == want
+
+    def test_overlap_matches_exhaustive_random(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(2, 10)
+            t1, t2 = rng.getrandbits(n), rng.getrandbits(n)
+            b1, b2 = t1 & rng.getrandbits(n), t2 & rng.getrandbits(n)
+            want = "overlap" if intervals_share_member(n, b1, t1, b2, t2) else None
+            assert self.pair_verdict(n, b1, t1, b2, t2) == want
 
     def test_insensitive_to_interval_order(self):
         base = [([1], [1, 2]), ([2], [2, 3]), ([3], [1, 3])]
@@ -184,14 +155,14 @@ class TestVerify:
             report = verify_certificate(cert)
             assert report.valid
             total = sum(report.rank_coverage[t] for t in range(d, k))
-            assert total == sum(binomial(n, t) for t in range(d, k))
+            assert total == sum(math.comb(n, t) for t in range(d, k))
 
     def test_single_high_dimensional_interval(self):
         # one interval of dimension 17, alone and with a second one inside it
         cert = full_ring_certificate(17)
         report = verify_certificate(cert)
         assert report.valid and report.achieved_depth == 17
-        assert report.rank_coverage[8] == binomial(17, 8)
+        assert report.rank_coverage[8] == math.comb(17, 8)
         overlapping = Certificate.from_arrays(
             17, 0, 17,
             np.append(cert.bottom_masks, 0b1),
@@ -517,9 +488,16 @@ def refuse_lenient(monkeypatch):
 
 class TestCanonicalTextTakesTheBytePass:
     def test_guard_bites(self, refuse_lenient):
-        text = format_certificate(construct_c3(1)).replace("\n", "\r\n")
+        text = format_certificate(construct_c3(1)).replace("{1}", "{01}")
         with pytest.raises(AssertionError):
             parse_certificate(text)
+
+    def test_crlf_line_ends(self, refuse_lenient):
+        cert = construct_c4(5)
+        text = format_certificate(cert).replace("\n", "\r\n")
+        back = parse_certificate(text.encode())
+        assert np.array_equal(back.bottom_masks, cert.bottom_masks)
+        assert np.array_equal(back.top_masks, cert.top_masks)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_base_constructions(self, d, refuse_lenient):

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 from vsdepth.errors import ElementOutOfRange, UniverseMismatch, UniverseOutOfRange
 from vsdepth.setcore import (
     PointSet,
-    binomial,
-    circ_block,
+    circ_mask,
     format_masks,
     interval_members,
     make_set,
@@ -21,12 +21,7 @@ from vsdepth.setcore import (
     sorted_unique,
 )
 
-from oracles import (
-    interval_members_naive,
-    iter_size_masks,
-    pascal_binomial,
-    set_literal_naive,
-)
+from oracles import interval_members_naive, iter_size_masks, set_literal_naive
 
 
 class TestMakeSet:
@@ -68,7 +63,7 @@ class TestSetsOfSize:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_count_matches_binomial(self, n):
         for t in range(n + 1):
-            assert len(size_masks_array(n, t)) == binomial(n, t)
+            assert len(size_masks_array(n, t)) == math.comb(n, t)
 
     def test_colex_strictly_increasing(self):
         # for fixed size, colex order is numeric mask order
@@ -99,44 +94,30 @@ class TestSetsOfSize:
             size_masks_array(3, 4)
 
 
+def circ_members(n, i, j):
+    return PointSet(n, circ_mask(n, i, j)).members()
+
+
 class TestCircBlock:
     def test_wraparound(self):
-        assert circ_block(8, 7, 1).members() == (1, 7, 8)
+        assert circ_members(8, 7, 1) == (1, 7, 8)
 
     def test_plain_run(self):
-        assert circ_block(8, 2, 4).members() == (2, 3, 4)
+        assert circ_members(8, 2, 4) == (2, 3, 4)
 
     def test_singleton(self):
-        assert circ_block(5, 3, 3).members() == (3,)
+        assert circ_members(5, 3, 3) == (3,)
 
     def test_complementary_runs_partition_circle(self):
         for n in range(2, 9):
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    run = circ_block(n, i, j)
-                    if run.size == n:
+                    run = circ_mask(n, i, j)
+                    if run == (1 << n) - 1:
                         continue
-                    rest = circ_block(n, j % n + 1, (i - 2) % n + 1)
-                    assert run.mask & rest.mask == 0
-                    assert run.mask | rest.mask == (1 << n) - 1
-
-
-class TestBinomial:
-    def test_pascal_oracle_values(self):
-        assert binomial(11, 4) == 330 == pascal_binomial(11, 4)
-        assert binomial(24, 5) == 42504 == pascal_binomial(24, 5)
-
-    def test_k_zero(self):
-        for n in range(0, 20):
-            assert binomial(n, 0) == 1
-
-    def test_k_above_n(self):
-        assert binomial(5, 6) == 0
-
-    @pytest.mark.parametrize("n", range(0, 15))
-    def test_agrees_with_pascal(self, n):
-        for k in range(n + 1):
-            assert binomial(n, k) == pascal_binomial(n, k)
+                    rest = circ_mask(n, j % n + 1, (i - 2) % n + 1)
+                    assert run & rest == 0
+                    assert run | rest == (1 << n) - 1
 
 
 class TestSetLiteral:
