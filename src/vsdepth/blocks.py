@@ -5,8 +5,24 @@ uniquely into alternating blocks and gaps B_1,G_1,...,B_k,G_k where each
 block starts at an element of A, gaps avoid A, and block lengths track
 the density: writing s(P) = p*|P & A| - q*|P| for a prefix P of a block,
 every proper prefix has s >= q and the full block lands in 0 <= s < q.
-That makes each block a forced greedy run from its start: extend while
-s >= q, stop the first time s drops below q.
+
+So one clockwise recurrence reads the structure off.  A point weighs
+w = p-q if it is in A and -q otherwise, and
+
+    s' = (s if s >= q else 0) + w.
+
+While s >= q a block is open and keeps running; s < q closes it, and the
+next point starts afresh.  A member x with s < q just before it opens a
+block, x is a gap point when s' < 0, and x ends its block when
+0 <= s' < q.  A run started closed (s = -q) before point 1 is exact on
+its second lap:
+
+- every block is shorter than n, because a full lap weighs
+  p|A| - qn <= -q, while a block weighs >= 0 and its prefixes >= q;
+- while the true run is open, the started run's s is never larger (it
+  only ever restarts from 0 where the true run keeps s >= q), so it is
+  closed too by the time the true block containing point 1 has ended;
+- from the first point at which both runs are closed, they agree.
 """
 from __future__ import annotations
 
@@ -103,28 +119,6 @@ def _cyclic_succ(n: int, i: int) -> int:
     return i % n + 1
 
 
-def _greedy_run(n: int, a_mask: int, p: int, q: int, start: int) -> int:
-    """End point of the forced block run from ``start``; see module doc."""
-    s = p - q
-    pos = start
-    for _ in range(n):
-        if s < q:
-            return pos
-        pos = _cyclic_succ(n, pos)
-        s += (p - q) if a_mask >> (pos - 1) & 1 else -q
-    raise AssertionError("block run wrapped the whole circle")
-
-
-def _next_member(n: int, a_mask: int, pos: int) -> int:
-    """First element of A strictly clockwise after ``pos``."""
-    cur = pos
-    for _ in range(n):
-        cur = _cyclic_succ(n, cur)
-        if a_mask >> (cur - 1) & 1:
-            return cur
-    raise AssertionError("A is empty")
-
-
 def _check_density_range(n: int, A: PointSet, delta: Density) -> None:
     if A.mask == 0:
         raise EmptySet("block structure requires a nonempty set")
@@ -134,61 +128,45 @@ def _check_density_range(n: int, A: PointSet, delta: Density) -> None:
         )
 
 
-def _assemble(n: int, A: PointSet, delta: Density, starts: list[int]) -> Optional[BlockStructure]:
-    """Lay greedy runs clockwise from the given starts; None if they clash."""
-    p, q = delta.p, delta.q
-    starts = sorted(starts)
-    blocks: list[CircBlock] = []
-    gaps: list[Optional[CircBlock]] = []
-    covered = 0
-    for idx, b in enumerate(starts):
-        e = _greedy_run(n, A.mask, p, q, b)
-        block = CircBlock(n, b, e)
-        nxt = starts[(idx + 1) % len(starts)]
-        after = _cyclic_succ(n, e)
-        # the gap runs from just past the block end to just before the
-        # next start; an empty gap means the next block is adjacent
-        if after == nxt:
-            gap = None
-        else:
-            gap = CircBlock(n, after, (nxt - 2) % n + 1)
-        blocks.append(block)
-        gaps.append(gap)
-        covered |= block.mask | (gap.mask if gap else 0)
-    if covered != (1 << n) - 1:
-        return None
-    bs = BlockStructure(n, A, delta, tuple(blocks), tuple(gaps))
-    return bs if verify_block_structure(bs) else None
+def _scan(n: int, a_mask: int, p: int, q: int) -> tuple[list[int], list[int]]:
+    """Ascending block starts and block ends of A, from the second lap of
+    the recurrence in the module doc; Python ints keep any p/q exact."""
+    starts: list[int] = []
+    ends: list[int] = []
+    s = -q
+    for step in range(2 * n):
+        x = step % n + 1
+        member = a_mask >> (x - 1) & 1
+        if step >= n and member and s < q:
+            starts.append(x)
+        s = (s if s >= q else 0) + (p - q if member else -q)
+        if step >= n and 0 <= s < q:
+            ends.append(x)
+    return starts, ends
 
 
 def block_structure(n: int, A: PointSet, delta: Density) -> BlockStructure:
-    """The unique block structure of A on [n] with density delta.
-
-    Follows the forced-run fixpoint: from a hypothesized start the run end
-    determines the next start; a closed cycle of starts whose runs tile
-    the circle is the structure, and the uniqueness lemma guarantees
-    exactly one such cycle exists.
-    """
+    """The unique block structure of A on [n] with density delta."""
     if A.n != n:
         raise ElementOutOfRange(f"set universe {A.n} != n={n}")
     _check_density_range(n, A, delta)
-    p, q = delta.p, delta.q
-    for a in A.members():
-        # follow next-start pointers until they cycle
-        path: list[int] = [a]
-        seen = {a: 0}
-        while True:
-            end = _greedy_run(n, A.mask, p, q, path[-1])
-            nxt = _next_member(n, A.mask, end)
-            if nxt in seen:
-                cycle = path[seen[nxt]:]
-                break
-            seen[nxt] = len(path)
-            path.append(nxt)
-        bs = _assemble(n, A, delta, cycle)
-        if bs is not None:
-            return bs
-    raise AssertionError(f"no block structure found for A={A}, delta={delta}")
+    starts, ends = _scan(n, A.mask, delta.p, delta.q)
+    if ends[0] < starts[0]:
+        # the last block wraps past n and ends first
+        ends = ends[1:] + ends[:1]
+    blocks: list[CircBlock] = []
+    gaps: list[Optional[CircBlock]] = []
+    for b, e, nxt in zip(starts, ends, starts[1:] + starts[:1]):
+        blocks.append(CircBlock(n, b, e))
+        # the gap runs from just past the block end to just before the
+        # next start; an empty gap means the next block is adjacent
+        after = _cyclic_succ(n, e)
+        gaps.append(None if after == nxt else CircBlock(n, after, (nxt - 2) % n + 1))
+    bs = BlockStructure(n, A, delta, tuple(blocks), tuple(gaps))
+    violation = block_structure_violation(bs)
+    if violation is not None:
+        raise AssertionError(f"scan of A={A}, delta={delta} fails {violation}")
+    return bs
 
 
 def block_structure_violation(bs: BlockStructure) -> Optional[str]:
@@ -258,12 +236,9 @@ def f_delta(n: int, A: PointSet, delta: Density) -> PointSet:
 def f_int_masks(n: int, c: int, masks: np.ndarray) -> np.ndarray:
     """Vectorized f_c for integer density c over an array of set masks.
 
-    A point x lies in a gap iff every clockwise arc ending at x has
-    negative weight, where members weigh c-1 and non-members -1 (a prefix
-    of a block keeps its running weight nonnegative, while arcs ending
-    inside a gap always dip below zero).  The maximum arc weight ending at
-    each position is a circular Kadane scan, done in two passes; arcs
-    longer than n only lose weight, so the doubled scan is exact.
+    This is the recurrence of the module doc at q = 1, where "s < 1 -> 0"
+    is ``max(s, 0)`` on integers: members weigh c-1, non-members -1, and a
+    point lies in a gap iff s' < 0 on the second of two laps.
     """
     if c < 2:
         raise DensityOutOfRange(f"vectorized f_c needs integer c >= 2, got {c}")

@@ -188,11 +188,14 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
 def _find_missing(n: int, t: int, covered: np.ndarray) -> PointSet:
     """The least t-set of [n] missing from ``covered``, which must be a
     sorted, distinct, proper subsequence of the colex t-sets: the first
-    place where the two differ, else the t-set just past ``covered``."""
-    everything = size_masks_array(n, t)
-    differ = np.flatnonzero(everything[: len(covered)] != covered)
+    place where the two differ, else the t-set just past ``covered``.
+    The first C(m, t) colex t-sets of [n] are the t-subsets of [m], so
+    only those of the least m with C(m, t) > len(covered) are built."""
+    m = next(m for m in range(max(t, 1), n + 1) if math.comb(m, t) > len(covered))
+    prefix = size_masks_array(m, t)
+    differ = np.flatnonzero(prefix[: len(covered)] != covered)
     first = int(differ[0]) if len(differ) else len(covered)
-    return PointSet(n, int(everything[first]))
+    return PointSet(n, int(prefix[first]))
 
 
 def _monomial(mask: int, n: int) -> str:

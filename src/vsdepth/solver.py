@@ -55,7 +55,8 @@ class SearchBudget:
     wall_time_limit: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.wall_time_limit <= 0:
+        # "not > 0" also refuses NaN, whose deadline would never pass
+        if not (self.max_nodes > 0 and self.wall_time_limit > 0):
             raise BadParameters("budget limits must be positive")
 
 

@@ -38,12 +38,29 @@ def pascal_binomial(n: int, k: int) -> int:
     return row[k]
 
 
+def _fitting_ends(A: PointSet, delta: Density, arc: list[int]) -> list[int]:
+    """The points arc[j] at which a block from arc[0] may end: the block
+    arc[:j+1] passes clauses iii/iv and the gap arc[j+1:] after it passes
+    clause ii, checked straight from the definitions.  With
+    s(P) = p*|P & A| - q*|P|, every proper prefix P has s >= q, the block
+    has 0 <= s < q, and the gap holds no member of A."""
+    p, q = delta.p, delta.q
+    inside = [A.mask >> (x - 1) & 1 for x in arc]
+    s = list(itertools.accumulate(p * a - q for a in inside))
+    return [
+        arc[j] for j in range(len(arc))
+        if all(v >= q for v in s[:j]) and 0 <= s[j] < q and not any(inside[j + 1:])
+    ]
+
+
 def all_block_structures(n: int, A: PointSet, delta: Density) -> list[BlockStructure]:
     """Every alternating blocks/gaps partition satisfying all clauses.
 
     Enumerates all nonempty subsets of A as block starts and, for each
-    start, every possible block end before the next start, then filters
-    with the clause verifier.
+    start, every block end before the next start that passes the
+    per-block clauses (``_fitting_ends``), then filters every combination
+    with the clause verifier.  The clauses hold block by block, so the
+    pruning drops only combinations the verifier would reject.
     """
     members = list(A.members())
     found = []
@@ -51,7 +68,7 @@ def all_block_structures(n: int, A: PointSet, delta: Density) -> list[BlockStruc
         for starts in itertools.combinations(members, r):
             # the block from starts[i] may end anywhere in the clockwise
             # arc before starts[i+1]
-            arcs = []
+            ends_per_start = []
             for i, b in enumerate(starts):
                 nxt = starts[(i + 1) % len(starts)]
                 # with a single start the block may extend around the
@@ -61,8 +78,8 @@ def all_block_structures(n: int, A: PointSet, delta: Density) -> list[BlockStruc
                 while pos != nxt:
                     arc.append(pos)
                     pos = pos % n + 1
-                arcs.append(arc)
-            for ends in itertools.product(*arcs):
+                ends_per_start.append(_fitting_ends(A, delta, arc))
+            for ends in itertools.product(*ends_per_start):
                 blocks, gaps = [], []
                 for i, b in enumerate(starts):
                     e = ends[i]

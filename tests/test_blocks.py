@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vsdepth import blocks
 from vsdepth.blocks import (
     BlockStructure,
     CircBlock,
@@ -18,7 +19,19 @@ from vsdepth.blocks import (
 from vsdepth.errors import DensityOutOfRange, EmptySet
 from vsdepth.setcore import PointSet, make_set, size_masks_array
 
+import oracles
 from oracles import all_block_structures, f_int_masks_reference
+
+
+@st.composite
+def sets_and_densities(draw):
+    """``(n, mask, p, q)``: a nonempty A over [n], n <= 63, and a density
+    p/q with q up to 10**30 inside 1 <= p/q <= (n-1)/|A|."""
+    n = draw(st.integers(2, 63))
+    mask = draw(st.integers(1, (1 << n) - 2).filter(lambda m: m.bit_count() < n))
+    q = draw(st.one_of(st.just(1), st.integers(1, 10**30)))
+    p = draw(st.integers(q, q * (n - 1) // mask.bit_count()))
+    return n, mask, p, q
 
 
 @st.composite
@@ -92,6 +105,27 @@ class TestBlockStructure:
         bs = block_structure(7, make_set(7, [1, 4]), Density(3, 1))
         assert verify_block_structure(bs)
 
+    def test_scan_checked_before_return(self, monkeypatch):
+        # ends one point early leave each block too heavy for clause iii
+        monkeypatch.setattr(blocks, "_scan", lambda n, a, p, q: ([1, 5], [2, 6]))
+        with pytest.raises(AssertionError, match="clause-iii"):
+            block_structure(8, make_set(8, [1, 5]), Density(3, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sets_and_densities())
+    @example(case=(63, (1 << 62) - 1, 1, 1))
+    @example(case=(63, 1, 62, 1))
+    @example(case=(63, 0b1011 << 50, 20 * (10**30 + 7) + 7, 10**30 + 7))
+    def test_scan_beyond_small_n(self, case):
+        # the n <= 9 brute force above cannot reach here: check the scan's
+        # structure clause by clause, and against f_c at integer density
+        n, mask, p, q = case
+        A, delta = PointSet(n, mask), Density(p, q)
+        assert block_structure_violation(block_structure(n, A, delta)) is None
+        if delta.q == 1 and delta.p >= 2:
+            top = f_int_masks(n, delta.p, np.array([mask], dtype=np.int64))
+            assert f_delta(n, A, delta).mask == int(top[0])
+
 
 class TestVerifier:
     def test_constructor_output_verifies(self):
@@ -164,6 +198,20 @@ class TestProperties:
                         found = all_block_structures(n, A, delta)
                         assert len(found) == 1, (n, A, p, q)
                         assert found[0] == block_structure(n, A, delta)
+
+    def test_oracle_pruning_keeps_every_structure(self, monkeypatch):
+        # per-block pruning drops only combinations the verifier rejects
+        def grid():
+            for n in range(1, 7):
+                for mask in range(1, 1 << n):
+                    A = PointSet(n, mask)
+                    for q in (1, 2, 3):
+                        for p in range(q, q * (n - 1) // A.size + 1):
+                            yield all_block_structures(n, A, Density(p, q))
+
+        pruned = list(grid())
+        monkeypatch.setattr(oracles, "_fitting_ends", lambda A, delta, arc: arc)
+        assert list(grid()) == pruned
 
     def test_right_size(self):
         for c in (2, 3, 4):

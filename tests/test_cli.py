@@ -122,6 +122,24 @@ class TestConstructVerifyRender:
         captured = capsys.readouterr()
         assert captured.out == "" and "AssertionError" in captured.err
 
+    @pytest.mark.parametrize("one_interval", [True, False])
+    def test_gap_witness_at_n40(self, one_interval, tmp_path, capsys):
+        # rank 20 of [40] has C(40, 20) sets; the witness comes from a
+        # colex prefix, not from listing the rank
+        def literal(members):
+            return "{" + ",".join(map(str, members)) + "}"
+
+        lines = ["VSDEPTH-CERT v1", "n=40 d=20 k=21", "trivial-completion", ""]
+        if one_interval:
+            lines.insert(2, f"interval {literal(range(1, 21))} {literal(range(1, 22))}")
+        cert_path = tmp_path / "cert.txt"
+        cert_path.write_text("\n".join(lines))
+        start = time.perf_counter()
+        assert run(["verify", "--cert", str(cert_path)]) == 1
+        assert time.perf_counter() - start < 2.0
+        least = [*range(1, 20), 21 if one_interval else 20]
+        assert out_lines(capsys) == [f"INVALID gap-at-rank 20 {literal(least)}"]
+
     def test_stdout_output(self, capsys):
         assert run(["construct", "--n", "3", "--d", "1"]) == 0
         lines = out_lines(capsys)
@@ -174,6 +192,17 @@ class TestScanAndUsage:
         assert lines[0].split() == ["n", "d", "conjectured", "proved", "status"]
         assert len(lines) == 1 + 10
         assert all("proved" in ln and "DISCREPANCY" not in ln for ln in lines[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["sdepth", "--n", "23", "--d", "2", "--k", "9"],
+        ["scan", "--max-n", "3"],
+    ])
+    def test_nan_budget_refused(self, argv, capsys):
+        start = time.perf_counter()
+        assert run([*argv, "--budget-secs", "nan"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget limits must be positive" in captured.err
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2

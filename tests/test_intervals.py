@@ -183,6 +183,36 @@ class TestVerify:
         assert (tag, rank, witness.mask) == gap_witness_reference(cert)
         assert witness.members() == tuple(range(1, 40))
 
+    @staticmethod
+    def rank_gap_cert(n, d, one_interval):
+        """(n, d, d+1) with the interval [{1..d}, {1..d+1}], or with none:
+        rank d is short either way."""
+        bottoms = [(1 << d) - 1] if one_interval else []
+        tops = [(1 << d + 1) - 1] if one_interval else []
+        return Certificate.from_arrays(n, d, d + 1, bottoms, tops)
+
+    @pytest.mark.parametrize("n, d", [(8, 4), (12, 6), (13, 3)])
+    @pytest.mark.parametrize("one_interval", [True, False])
+    def test_rank_gap_witness_matches_reference(self, n, d, one_interval):
+        cert = self.rank_gap_cert(n, d, one_interval)
+        tag, rank, witness = verify_certificate(cert).first_violation
+        assert (tag, rank, witness.mask) == gap_witness_reference(cert)
+
+    @pytest.mark.parametrize("one_interval", [True, False])
+    def test_rank_gap_witness_builds_a_colex_prefix(self, one_interval, monkeypatch):
+        # rank 20 of [40] has C(40, 20) ~ 1.4e11 sets; the least missing
+        # one lies among the 20-subsets of [21]
+        built = []
+
+        def recording(m, t):
+            built.append(math.comb(m, t))
+            return setcore.size_masks_array(m, t)
+
+        monkeypatch.setattr(intervals, "size_masks_array", recording)
+        report = verify_certificate(self.rank_gap_cert(40, 20, one_interval))
+        assert report.first_violation[:2] == ("gap-at-rank", 20)
+        assert built and max(built) <= 21
+
     @settings(max_examples=40, deadline=None)
     @given(
         base=st.sampled_from(

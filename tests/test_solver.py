@@ -127,6 +127,12 @@ class TestCertifyAtLeast:
         with pytest.raises(BadParameters):
             SearchBudget(max_nodes=0)
 
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_non_positive_wall_time_refused(self, limit):
+        # NaN compares false with everything, so its deadline never passes
+        with pytest.raises(BadParameters, match="budget limits must be positive"):
+            SearchBudget(wall_time_limit=limit)
+
 
 class TestFittingTops:
     @settings(max_examples=300, deadline=None)
