@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import f_int_masks
 from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismatch
-from .intervals import Certificate, verify_certificate
+from .intervals import MAX_MEMBERS, Certificate, verify_certificate
 from .setcore import (
     MAX_UNIVERSE,
     interval_members,
@@ -176,12 +176,6 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
 
 
 _BASE_BUILDERS = {2: construct_c2, 3: construct_c3, 4: construct_c4}
-
-# The most members ``construct_general`` lets the verifier enumerate: it
-# holds and sorts them in one int64 array, so 2^27 members are 1 GiB
-# before any working copy.
-MAX_MEMBERS = 1 << 27
-
 
 class Step(NamedTuple):
     """A cell of ``plan``: how (m, e) is built, the depth k it claims, and

@@ -2,7 +2,8 @@
 
 
 class VsdepthError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors this package raises on bad input; the CLI
+    exits 2 on them."""
 
 
 class ElementOutOfRange(VsdepthError):
@@ -29,10 +30,11 @@ class RefusesUnverified(VsdepthError):
     pass
 
 
-class MatchingFailed(VsdepthError):
+class MatchingFailed(AssertionError):
     """A matching guaranteed to exist could not be completed.
 
-    This signals an internal-consistency bug, never a recoverable condition.
+    This signals an internal-consistency bug, never a recoverable condition,
+    so it is not a VsdepthError: the CLI reports it as an internal error.
     """
 
 

@@ -18,7 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateFormatError, ElementOutOfRange, RefusesUnverified
+from .errors import (
+    BadParameters,
+    CertificateFormatError,
+    ElementOutOfRange,
+    RefusesUnverified,
+)
 from .setcore import (
     MAX_UNIVERSE,
     PointSet,
@@ -42,6 +47,11 @@ _CANONICAL_HEAD = re.compile(
 _CANONICAL_TAIL = f"\n{FILE_TERMINATOR}\n".encode()
 _LINE_START = np.frombuffer(b"interval {", dtype=np.uint8)
 _SLICE_BYTES = 1 << 18
+
+# The most members ``verify_certificate`` enumerates: it holds and sorts
+# them in one int64 array, so 2^27 members are 1 GiB before any working
+# copy.
+MAX_MEMBERS = 1 << 27
 
 
 def _pair_values() -> np.ndarray:
@@ -124,22 +134,14 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     counts the covered sets at every rank d..n once the intervals are
     found disjoint.  An interval end with members outside [n] is reported
     as ``("outside-universe", mask)`` with a plain int mask, since no
-    PointSet can hold it.
+    PointSet can hold it.  Past the checks that need no enumeration, a
+    certificate of more than ``MAX_MEMBERS`` members is refused with
+    ``BadParameters`` before any member is listed.
     """
     n = cert.universe_size
     d = cert.min_generator_size
     k = cert.claimed_depth
     bottoms, tops = cert.bottom_masks, cert.top_masks
-
-    if cert.num_explicit == 0:
-        # purely trivial certificate: sound iff there is nothing below k
-        coverage = {t: 0 for t in range(d, n + 1)}
-        if k > d:
-            return VerifyReport(
-                False, d, ("gap-at-rank", d, _find_missing(n, d, np.empty(0, np.int64))),
-                coverage,
-            )
-        return VerifyReport(True, k, None, coverage)
 
     if bool(np.any((bottoms | tops) >> n)):
         idx = int(np.argmax((bottoms | tops) >> n != 0))
@@ -164,6 +166,13 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
             False, None, ("top-too-small", PointSet(n, int(tops[idx])))
         )
 
+    dims = np.bincount(top_sizes - bot_sizes)
+    total = sum(int(count) << dim for dim, count in enumerate(dims))
+    if total > MAX_MEMBERS:
+        raise BadParameters(
+            f"the certificate has {total} members to enumerate, above the "
+            f"limit of {MAX_MEMBERS}"
+        )
     members = interval_members(bottoms, tops)
     members.sort()
     if len(members) > 1 and bool(np.any(members[1:] == members[:-1])):
@@ -181,8 +190,7 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
             missing = _find_missing(n, t, members[ranks == t])
             return VerifyReport(False, None, ("gap-at-rank", t, missing), coverage)
 
-    achieved = min(k, int(top_sizes.min()))
-    return VerifyReport(True, achieved, None, coverage)
+    return VerifyReport(True, k, None, coverage)
 
 
 def _find_missing(n: int, t: int, covered: np.ndarray) -> PointSet:

@@ -11,8 +11,11 @@ rank must be the bottom of its covering interval.  (That interval's
 bottom is a member of the interval, hence uncovered now, and it sits at
 rank >= d inside m; a proper subset would be an uncovered set of lower
 rank, contradicting minimality.  So the bottom equals m.)  Branching is
-therefore only over tops.  A cursor per rank remembers where the last
-lookup found m, so the next lookup does not rescan the sets before it.
+therefore only over tops.  Down a branch the lowest uncovered rank never
+falls, and within it m never moves back in colex order, so each lookup
+starts from the parent node's bottom (at the root, from the least d-set;
+past a full rank r, from the least (r+1)-set) and steps to the next set
+of that size by Gosper's rule; no table of sets is kept.
 
 Tops: the candidates at a node are the supersets t of m with |t| >= k, in
 colex (numeric) order.  They are generated lazily, as the submasks of the
@@ -45,8 +48,8 @@ import numpy as np
 
 from .construct import bounds
 from .errors import BadParameters
-from .intervals import Certificate, verify_certificate
-from .setcore import MAX_UNIVERSE, size_masks_array
+from .intervals import MAX_MEMBERS, Certificate, verify_certificate
+from .setcore import MAX_UNIVERSE
 
 
 @dataclass(frozen=True)
@@ -80,11 +83,8 @@ class _Searcher:
         self.deadline = time.monotonic() + budget.wall_time_limit
         # the members of the chosen intervals
         self.occupied: set[int] = set()
-        self.rank_lists = {r: size_masks_array(n, r).tolist() for r in range(d, k)}
         # unoccupied sets per rank, d..k; rank k feeds only the counting prune
         self.uncovered = [0] * d + [math.comb(n, r) for r in range(d, k + 1)]
-        # rank_lists[r][:cursor[r]] are all occupied
-        self.cursor = [0] * k
         self.chosen: list[tuple[int, int]] = []
         # C(k-r0, r-r0) table for the counting prune
         self.prune_coeff = {
@@ -99,16 +99,18 @@ class _Searcher:
         if self.nodes > self.budget.max_nodes or time.monotonic() > self.deadline:
             raise _BudgetExhausted
 
-    def _least_uncovered(self) -> Optional[tuple[int, int]]:
+    def _least_uncovered(self, r: int, m: int) -> Optional[tuple[int, int]]:
+        """(rank, mask) of the least uncovered set, sought from the r-set m."""
         occupied = self.occupied
-        for r in range(self.d, self.k):
+        for r in range(r, self.k):
             if self.uncovered[r]:
-                masks = self.rank_lists[r]
-                i = self.cursor[r]
-                while masks[i] in occupied:
-                    i += 1
-                self.cursor[r] = i
-                return r, masks[i]
+                while m in occupied:
+                    # Gosper's rule: the next r-set in colex order
+                    low = m & -m
+                    ripple = m + low
+                    m = ripple | ((m ^ ripple) >> 2) // low
+                return r, m
+            m = (1 << (r + 1)) - 1
         return None
 
     def _alive(self, r0: int) -> bool:
@@ -170,46 +172,59 @@ class _Searcher:
             uncovered[r0 + j] -= sign * math.comb(dim, j)
 
     def search(self) -> bool:
-        # one frame per open node: [fitting tops, bottom, rank, cursors at
-        # the node, members of the interval placed from it or None]
+        # one frame per open node: [fitting tops, bottom, rank, members of
+        # the interval placed from it or None]
         stack: list[list] = []
         chosen = self.chosen
+        r0, m = self.d, (1 << self.d) - 1
         while True:
             self._tick()
-            cur = self._least_uncovered()
+            cur = self._least_uncovered(r0, m)
             if cur is None:
                 return True
             r0, m = cur
             if self._alive(r0):
-                stack.append([self._fitting_tops(m, r0), m, r0, self.cursor.copy(), None])
+                stack.append([self._fitting_tops(m, r0), m, r0, None])
             # place the next fitting top of the deepest open node; a node
             # with none left is closed, and its parent's interval taken back
             while stack:
                 frame = stack[-1]
-                tops, m, r0, cursor, placed = frame
+                tops, m, r0, placed = frame
                 if placed is not None:
                     self._place(r0, placed, -1)
                     chosen.pop()
-                    self.cursor[:] = cursor
-                    frame[4] = None
+                    frame[3] = None
                 step = next(tops, None)
                 if step is not None:
                     t, members = step
                     self._place(r0, members, +1)
                     chosen.append((m, t))
-                    frame[4] = members
+                    frame[3] = members
                     break
                 stack.pop()
             else:
                 return False
 
 
+def _check_members(n: int, d: int, k: int) -> None:
+    """Refuse a cell whose certificate the verifier could not hold: it
+    covers every set of ranks d..k-1 with explicit intervals."""
+    members = sum(math.comb(n, r) for r in range(d, k))
+    if members > MAX_MEMBERS:
+        raise BadParameters(
+            f"a certificate for n={n}, d={d}, k={k} has at least {members} "
+            f"members to verify, above the limit of {MAX_MEMBERS}"
+        )
+
+
 def certify_at_least(n: int, d: int, k: int, budget: SearchBudget) -> SolveResult:
-    """Decide whether an interval partition with min top size >= k exists."""
+    """Decide whether an interval partition with min top size >= k exists;
+    a cell past the verifier's member limit is refused up front."""
     if not (1 <= d <= k <= n <= MAX_UNIVERSE):
         raise BadParameters(
             f"need 1 <= d <= k <= n <= {MAX_UNIVERSE}, got n={n}, d={d}, k={k}"
         )
+    _check_members(n, d, k)
     searcher = _Searcher(n, d, k, budget)
     try:
         found = searcher.search()
@@ -267,9 +282,13 @@ def _scan_case(n: int, d: int, budget: SearchBudget) -> ScanRow:
 
 
 def conjecture_scan(max_n: int, budget: SearchBudget) -> list[ScanRow]:
-    """Exact solve for all 1 <= d <= n <= max_n against the formula."""
+    """Exact solve for all 1 <= d <= n <= max_n against the formula; every
+    cell is checked against the member limit before any is solved."""
     if not 1 <= max_n <= MAX_UNIVERSE:
         raise BadParameters(f"max_n={max_n} not in 1..{MAX_UNIVERSE}")
+    for n in range(1, max_n + 1):
+        for d in range(1, n + 1):
+            _check_members(n, d, bounds(n, d).upper)
     return [
         _scan_case(n, d, budget)
         for n in range(1, max_n + 1)

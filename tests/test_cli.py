@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -7,6 +8,7 @@ import pytest
 
 from vsdepth import construct, solver
 from vsdepth.cli import run
+from vsdepth.errors import MatchingFailed
 from vsdepth.intervals import Certificate
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -14,6 +16,22 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 def out_lines(capsys):
     return capsys.readouterr().out.splitlines()
+
+
+def run_capped(*argv, timeout=30.0):
+    """``python -m vsdepth argv`` in a child whose address space is capped
+    at 1 GiB, so that a blow-up fails on its exit code, not by exhausting
+    the machine; returns (exit code, stdout, stderr, seconds)."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "vsdepth", *map(str, argv)],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
 class TestBlocks:
@@ -109,6 +127,29 @@ class TestConstructVerifyRender:
         captured = capsys.readouterr()
         assert captured.out == "" and "above the limit" in captured.err
 
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_big_cube_refused(self, command, tmp_path):
+        # [{1}, [40]] has 2^39 members; the verifier refuses to list them
+        cert_path = tmp_path / "cert.txt"
+        cert_path.write_text(
+            "VSDEPTH-CERT v1\nn=40 d=1 k=2\n"
+            f"interval {{1}} {{{','.join(map(str, range(1, 41)))}}}\n"
+            "trivial-completion\n"
+        )
+        code, out, err, secs = run_capped(command, "--cert", cert_path)
+        assert (code, out) == (2, "") and "above the limit" in err
+        assert secs < 1.0
+
+    def test_matching_failure_is_internal_error(self, monkeypatch, capsys):
+        def fail(masks, n):
+            raise MatchingFailed("a set has no unmatched opening position")
+
+        monkeypatch.setattr(construct, "chain_successor_bits", fail)
+        assert run(["construct", "--n", "5", "--d", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "MatchingFailed" in captured.err
+
     def test_unverified_construction_is_internal_error(self, monkeypatch, capsys):
         def dropped(d):
             cert = construct.construct_c3(d)
@@ -177,6 +218,24 @@ class TestSdepth:
         # bounds gives upper=4 at (7,4); only the rank-k count shows it
         assert run(["sdepth", "--n", "7", "--d", "4", "--k", "5"]) == 1
         assert out_lines(capsys)[0] == "k=5 status=disproved nodes=1"
+
+    def test_budget_kept_at_n26(self):
+        # no table of the 2^25 sets of ranks 1..12 is built before searching
+        code, out, _, secs = run_capped(
+            "sdepth", "--n", 26, "--d", 1, "--k", 13, "--budget-secs", 1
+        )
+        assert code == 1 and out.startswith("k=13 status=budget-exhausted")
+        assert secs < 3.0
+
+    @pytest.mark.parametrize("argv", [
+        ["sdepth", "--n", 40, "--d", 2],
+        ["sdepth", "--n", 34, "--d", 2, "--k", 11],
+        ["scan", "--max-n", 29],
+    ])
+    def test_past_member_limit_refused(self, argv):
+        code, out, err, secs = run_capped(*argv)
+        assert (code, out) == (2, "") and "above the limit" in err
+        assert secs < 1.0
 
     def test_writes_certificate(self, tmp_path, capsys):
         cert_path = str(tmp_path / "cert.txt")

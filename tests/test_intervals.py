@@ -18,6 +18,7 @@ from vsdepth.construct import (
     full_ring_certificate,
 )
 from vsdepth.errors import (
+    BadParameters,
     CertificateFormatError,
     ElementOutOfRange,
     RefusesUnverified,
@@ -29,7 +30,7 @@ from vsdepth.intervals import (
     render_stanley,
     verify_certificate,
 )
-from vsdepth.setcore import make_set
+from vsdepth.setcore import PointSet, make_set
 
 from oracles import (
     gap_witness_reference,
@@ -254,6 +255,36 @@ class TestVerify:
         cert = Certificate.from_arrays(4, 2, 2, empty, empty)
         report = verify_certificate(cert)
         assert report.valid and report.achieved_depth == 2
+
+    def test_empty_certificate_takes_the_general_path(self):
+        # an invalid verdict names no depth, as every other one does
+        report = verify_certificate(Certificate.from_arrays(5, 1, 2, [], []))
+        assert not report.valid and report.achieved_depth is None
+        assert report.first_violation == ("gap-at-rank", 1, PointSet(5, 1))
+        report = verify_certificate(Certificate.from_arrays(5, 2, 2, [], []))
+        assert report.valid and report.achieved_depth == 2
+        assert report.rank_coverage == {t: 0 for t in range(2, 6)}
+
+    def test_big_cube_refused_before_enumerating(self):
+        # [{1}, [40]] has 2^39 members, 4 TiB as int64
+        cert = Certificate.from_arrays(40, 1, 2, [1], [(1 << 40) - 1])
+        with pytest.raises(BadParameters, match="above the limit"):
+            verify_certificate(cert)
+
+    def test_member_limit_is_inclusive(self, monkeypatch):
+        # 4 + 2 + 1 members: refused only once the limit is below that
+        cert = Certificate.from_arrays(3, 1, 1, [1, 2, 4], [7, 6, 4])
+        monkeypatch.setattr(intervals, "MAX_MEMBERS", 7)
+        assert verify_certificate(cert).valid
+        monkeypatch.setattr(intervals, "MAX_MEMBERS", 6)
+        with pytest.raises(BadParameters):
+            verify_certificate(cert)
+
+    def test_cheap_verdicts_come_before_the_limit(self):
+        # a top below k is reported without counting members
+        cert = Certificate.from_arrays(40, 1, 40, [1], [(1 << 39) - 1])
+        report = verify_certificate(cert)
+        assert report.first_violation[0] == "top-too-small"
 
 
 class TestRender:

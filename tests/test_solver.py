@@ -1,11 +1,13 @@
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vsdepth import solver
 from vsdepth.construct import bounds
 from vsdepth.errors import BadParameters
 from vsdepth.intervals import Certificate, format_certificate, verify_certificate
@@ -118,6 +120,54 @@ class TestCertifyAtLeast:
         assert verify_certificate(proved.certificate).valid
         disproved = certify_at_least(40, 39, 40, BUDGET)
         assert disproved.status == "disproved" and disproved.nodes_explored == 1
+
+    def test_memory_follows_the_work_at_n24(self):
+        # no table of the 2^24 - 2 sets of ranks 1..11 is built: the search
+        # holds only its occupied sets and its stack
+        tracemalloc.start()
+        try:
+            t0 = time.monotonic()
+            result = certify_at_least(24, 1, 12, SearchBudget(wall_time_limit=0.5))
+            elapsed = time.monotonic() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status == "budget-exhausted"
+        assert elapsed < 2.0
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("n,d,k", [(29, 1, 15), (40, 2, 14)])
+    def test_past_member_limit_refused(self, n, d, k):
+        # a certificate covers every set of ranks d..k-1: more than 2^27
+        t0 = time.monotonic()
+        with pytest.raises(BadParameters, match="above the limit"):
+            certify_at_least(n, d, k, BUDGET)
+        with pytest.raises(BadParameters, match="above the limit"):
+            exact_sdepth(n, d, BUDGET)
+        assert time.monotonic() - t0 < 1.0
+
+    def test_least_uncovered_against_colex_scan(self):
+        # from any start no later than the answer, the walk finds the
+        # colex-least unoccupied set of the lowest rank that has one
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            d = rng.randint(1, n - 1)
+            k = rng.randint(d + 1, n)
+            searcher = _Searcher(n, d, k, BUDGET)
+            ranks = {r: size_masks_array(n, r).tolist() for r in range(d, k)}
+            for r, masks in ranks.items():
+                taken = [m for m in masks if rng.random() < 0.7]
+                searcher.occupied.update(taken)
+                searcher.uncovered[r] -= len(taken)
+            free = [(r, m) for r, masks in ranks.items() for m in masks
+                    if m not in searcher.occupied]
+            want = free[0] if free else None
+            start = (d, ranks[d][0])
+            if want is not None and rng.random() < 0.5:
+                r = want[0]
+                start = (r, rng.choice([m for m in ranks[r] if m <= want[1]]))
+            assert searcher._least_uncovered(*start) == want
 
     def test_bad_params(self):
         with pytest.raises(BadParameters):
@@ -253,3 +303,14 @@ class TestScan:
     def test_bad_max_n(self):
         with pytest.raises(BadParameters):
             conjecture_scan(0, BUDGET)
+
+    def test_past_member_limit_refused_before_solving(self, monkeypatch):
+        # (29, 1) at its upper bound 15 is past the limit; no cell is solved
+        def solve(*args):
+            raise AssertionError("a cell was solved")
+
+        monkeypatch.setattr(solver, "_scan_case", solve)
+        t0 = time.monotonic()
+        with pytest.raises(BadParameters, match="above the limit"):
+            conjecture_scan(29, BUDGET)
+        assert time.monotonic() - t0 < 1.0
