@@ -26,12 +26,13 @@ from .intervals import (
 from .setcore import PointSet, format_masks, parse_masks
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(data: bytes, path: Optional[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def _cmd_blocks(args: argparse.Namespace) -> int:

@@ -39,15 +39,17 @@ def _uncovered_masks(
     n: int, bottoms: np.ndarray, tops: np.ndarray, ranks
 ) -> list[np.ndarray]:
     """Per rank t in ``ranks``, the t-sets that no interval [bottom, top]
-    covers, in colex order."""
+    covers, in colex order: every t-set of [n] whose place in the colex
+    array is not marked by a covered one."""
     members = interval_members(bottoms, tops)
     sizes = popcount_array(members)
-    return [
-        np.setdiff1d(
-            size_masks_array(n, t), sorted_unique(members[sizes == t]), assume_unique=True
-        )
-        for t in ranks
-    ]
+    uncovered = []
+    for t in ranks:
+        every = size_masks_array(n, t)
+        covered = np.ones(len(every), dtype=bool)
+        covered[np.searchsorted(every, sorted_unique(members[sizes == t]))] = False
+        uncovered.append(every[covered])
+    return uncovered
 
 
 def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ElementOutOfRange, UniverseMismatch, UniverseOutOfRange
 
 MAX_UNIVERSE = 63
+# intervals or members per slice of the sliced full-length steps
+_SLICE = 1 << 18
 
 
 def _check_universe(n: int) -> None:
@@ -72,32 +74,59 @@ def make_set(n: int, elems: list[int] | tuple[int, ...]) -> PointSet:
 
 
 @functools.cache
-def _literal_parts(j: int) -> np.ndarray:
-    """Entry v + 256 * lower spells the members held by byte j of a mask
-    when that byte has value v; lower = 1 adds the comma that separates
-    them from members in the bytes below."""
-    parts = [",".join(str(8 * j + i + 1) for i in range(8) if v >> i & 1)
-             for v in range(256)]
-    return np.array(parts + ["," + p if p else "" for p in parts], dtype=object)
+def _byte_pieces(j: int, n: int) -> np.ndarray:
+    """Row v spells the members of [n] held by byte j of a mask when that
+    byte has value v, each followed by ``,``; row 256 + v is the same
+    with the last ``,`` made ``}`` (row 256 alone is ``}``), for the
+    highest nonempty byte of a literal.  Rows are zero-padded to the
+    longest, so a literal is spelled by one row gather per byte and its
+    padding is dropped afterwards."""
+    members = [str(8 * j + i + 1) for i in range(min(8, n - 8 * j))]
+    rows = [
+        "".join(m + "," for i, m in enumerate(members) if v >> i & 1).encode()
+        for v in range(256)
+    ]
+    rows += [row[:-1] + b"}" for row in rows]
+    table = np.zeros((512, max(map(len, rows))), dtype=np.uint8)
+    for v, row in enumerate(rows):
+        table[v, :len(row)] = np.frombuffer(row, dtype=np.uint8)
+    return table
+
+
+def literal_width(n: int) -> int:
+    """Bytes ``write_literals`` fills per mask over [n]."""
+    return 1 + sum(_byte_pieces(j, n).shape[1] for j in range((n + 7) // 8))
+
+
+def write_literals(out: np.ndarray, masks: np.ndarray, n: int) -> None:
+    """Spell each mask over [n] as its literal ``{a,b,c}`` into the
+    matching row of ``out``, a zeroed uint8 array (or view) of shape
+    ``(len(masks), literal_width(n))``; the unused bytes of a row stay
+    zero, for the caller to drop.  Bits above n are not spelled."""
+    columns = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    count = (n + 7) // 8
+    highest = np.zeros(len(columns), dtype=np.uint8)
+    for j in range(1, count):
+        highest[columns[:, j] != 0] = j
+    out[:, 0] = ord("{")
+    col = 1
+    for j in range(count):
+        table = _byte_pieces(j, n)
+        rows = columns[:, j].astype(np.intp)
+        rows[highest == j] += 256
+        out[:, col:col + table.shape[1]] = table[rows]
+        col += table.shape[1]
 
 
 def format_masks(masks) -> list[str]:
-    """Canonical set literals ``{a,b,c}``, ascending, no whitespace.
-
-    Each mask is spelled byte by byte through ``_literal_parts``, one
-    array operation per byte over all masks at once.
-    """
-    rest = np.asarray(masks, dtype=np.int64)
-    out = np.full(rest.shape, "{", dtype=object)
-    lower = np.zeros(rest.shape, dtype=bool)
-    for j in range(8):
-        if not rest.any():
-            break
-        byte = rest & 255
-        out += _literal_parts(j)[byte + 256 * lower]
-        lower |= byte != 0
-        rest = rest >> 8
-    return (out + "}").tolist()
+    """Canonical set literals ``{a,b,c}``, ascending, no whitespace,
+    spelled by ``write_literals``."""
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    n = max(int(masks.max(initial=0)).bit_length(), 1)
+    rows = np.zeros((len(masks), literal_width(n) + 1), dtype=np.uint8)
+    write_literals(rows[:, :-1], masks, n)
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 def parse_masks(literals, n: int) -> np.ndarray:
@@ -217,29 +246,49 @@ def popcount_array(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.asarray(masks, dtype=np.int64).view(np.uint64))
 
 
+def slices(length: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_SLICE`` items that cover
+    ``range(length)``, so that a full-length step run slice by slice
+    needs only O(_SLICE) temporaries."""
+    step = _SLICE
+    return (slice(i, min(i + step, length)) for i in range(0, length, step))
+
+
 def interval_members(bottoms: np.ndarray, tops: np.ndarray) -> np.ndarray:
     """Every member of every interval [bottom, top], with multiplicity.
 
     Intervals are grouped by dimension; each group of G intervals of
     dimension k fills a (2**k, G) block of one preallocated output by
     doubling: rows [2**j, 2**(j+1)) are rows [0, 2**j) with each
-    interval's j-th lowest free bit added.  The order of the output is
-    unspecified.
+    interval's j-th lowest free bit added.  The free bits are read a
+    slice of intervals at a time, each slice filling the next columns of
+    every block, so beside the output only O(_SLICE) is allocated.  The
+    order of the output is unspecified.
     """
-    free = tops & ~bottoms
-    dims = popcount_array(free)
+    dims = np.empty(len(bottoms), dtype=np.uint8)
+    for part in slices(len(bottoms)):
+        dims[part] = popcount_array(tops[part] & ~bottoms[part])
     counts = np.bincount(dims)
     out = np.empty(sum(int(g) << k for k, g in enumerate(counts)), dtype=np.int64)
+    blocks = {}
     start = 0
     for k in np.flatnonzero(counts).tolist():
         g = int(counts[k])
-        block = out[start:start + (g << k)].reshape(1 << k, g)
-        sel = dims == k
-        block[0] = bottoms[sel]
-        rest = free[sel]
-        for j in range(k):
-            low = rest & -rest
-            rest ^= low
-            np.bitwise_or(block[: 1 << j], low, out=block[1 << j: 2 << j])
-        start += block.size
+        blocks[k] = out[start:start + (g << k)].reshape(1 << k, g)
+        start += g << k
+    filled = dict.fromkeys(blocks, 0)
+    for part in slices(len(bottoms)):
+        free = tops[part] & ~bottoms[part]
+        part_dims = dims[part]
+        for k in np.flatnonzero(np.bincount(part_dims)).tolist():
+            sel = part_dims == k
+            rest = free[sel]
+            col = filled[k]
+            block = blocks[k][:, col:col + len(rest)]
+            filled[k] = col + len(rest)
+            block[0] = bottoms[part][sel]
+            for j in range(k):
+                low = rest & -rest
+                rest ^= low
+                np.bitwise_or(block[: 1 << j], low, out=block[1 << j: 2 << j])
     return out

@@ -65,7 +65,7 @@ class SearchBudget:
 
 @dataclass
 class SolveResult:
-    status: str  # proved | disproved | budget-exhausted
+    status: str  # proved | disproved | budget-exhausted | member-limit
     value_or_bound: int
     certificate: Optional[Certificate]
     nodes_explored: int
@@ -206,10 +206,15 @@ class _Searcher:
                 return False
 
 
+def _members(n: int, d: int, k: int) -> int:
+    """The fewest members a certificate for (n, d, k) has: it covers
+    every set of ranks d..k-1 with explicit intervals."""
+    return sum(math.comb(n, r) for r in range(d, k))
+
+
 def _check_members(n: int, d: int, k: int) -> None:
-    """Refuse a cell whose certificate the verifier could not hold: it
-    covers every set of ranks d..k-1 with explicit intervals."""
-    members = sum(math.comb(n, r) for r in range(d, k))
+    """Refuse a cell whose certificate the verifier could not hold."""
+    members = _members(n, d, k)
     if members > MAX_MEMBERS:
         raise BadParameters(
             f"a certificate for n={n}, d={d}, k={k} has at least {members} "
@@ -246,21 +251,24 @@ def certify_at_least(n: int, d: int, k: int, budget: SearchBudget) -> SolveResul
 def exact_sdepth(n: int, d: int, budget: SearchBudget) -> SolveResult:
     """Exact value by descending from the counting upper bound.
 
-    The first k proved gives the exact value when k equals the upper
-    bound; a budget exhaustion along the way downgrades the status, and
-    the reported value is the best proved lower bound.
+    The descent starts at the largest k whose certificate fits the
+    member limit.  The first k proved gives the exact value when every
+    k above it was disproved; if the descent had to start below the
+    upper bound the status is ``member-limit``, and if a budget ran out
+    along the way it is ``budget-exhausted``.  Either way the reported
+    value is the best proved lower bound.
     """
     upper = bounds(n, d).upper
-    exhausted = False
+    start = max(k for k in range(d, upper + 1) if _members(n, d, k) <= MAX_MEMBERS)
+    undecided = "member-limit" if start < upper else None
     total_nodes = 0
-    for k in range(upper, d - 1, -1):
+    for k in range(start, d - 1, -1):
         result = certify_at_least(n, d, k, budget)
         total_nodes += result.nodes_explored
         if result.status == "proved":
-            status = "budget-exhausted" if exhausted else "proved"
-            return SolveResult(status, k, result.certificate, total_nodes)
+            return SolveResult(undecided or "proved", k, result.certificate, total_nodes)
         if result.status == "budget-exhausted":
-            exhausted = True
+            undecided = undecided or "budget-exhausted"
     raise AssertionError("depth d is always certifiable")
 
 

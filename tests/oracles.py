@@ -7,6 +7,7 @@ datatypes it validates.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -18,13 +19,20 @@ from vsdepth.blocks import (
     verify_block_structure,
 )
 from vsdepth.errors import (
+    BadParameters,
     CertificateFormatError,
     DensityOutOfRange,
     ElementOutOfRange,
     MatchingFailed,
     UniverseOutOfRange,
 )
-from vsdepth.intervals import FILE_HEADER, Certificate
+from vsdepth.intervals import (
+    FILE_HEADER,
+    MAX_MEMBERS,
+    Certificate,
+    VerifyReport,
+    _find_missing,
+)
 from vsdepth.setcore import MAX_UNIVERSE, PointSet, popcount_array, size_masks_array
 
 
@@ -447,3 +455,84 @@ def _element_reference(tok: str, text: str, n: int) -> int:
     if not 1 <= e <= n:
         raise ElementOutOfRange(f"element {e} not in 1..{n}")
     return e
+
+
+def interval_members_reference(bottoms: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """``setcore.interval_members`` as it was before it ran in slices,
+    verbatim: every step at full interval length."""
+    free = tops & ~bottoms
+    dims = popcount_array(free)
+    counts = np.bincount(dims)
+    out = np.empty(sum(int(g) << k for k, g in enumerate(counts)), dtype=np.int64)
+    start = 0
+    for k in np.flatnonzero(counts).tolist():
+        g = int(counts[k])
+        block = out[start:start + (g << k)].reshape(1 << k, g)
+        sel = dims == k
+        block[0] = bottoms[sel]
+        rest = free[sel]
+        for j in range(k):
+            low = rest & -rest
+            rest ^= low
+            np.bitwise_or(block[: 1 << j], low, out=block[1 << j: 2 << j])
+        start += block.size
+    return out
+
+
+def verify_reference(cert: Certificate) -> VerifyReport:
+    """``intervals.verify_certificate`` as it was before it ran in
+    slices, verbatim but for the member enumerator, which is
+    ``interval_members_reference``: every check at full length."""
+    n = cert.universe_size
+    d = cert.min_generator_size
+    k = cert.claimed_depth
+    bottoms, tops = cert.bottom_masks, cert.top_masks
+
+    if bool(np.any((bottoms | tops) >> n)):
+        idx = int(np.argmax((bottoms | tops) >> n != 0))
+        bad = bottoms[idx] if bottoms[idx] >> n else tops[idx]
+        return VerifyReport(False, None, ("outside-universe", int(bad)))
+    if bool(np.any(bottoms & ~tops)):
+        idx = int(np.argmax((bottoms & ~tops) != 0))
+        return VerifyReport(
+            False, None,
+            ("bottom-not-in-top", PointSet(n, int(bottoms[idx]))),
+        )
+    bot_sizes = popcount_array(bottoms)
+    top_sizes = popcount_array(tops)
+    if bool(np.any(bot_sizes < d)):
+        idx = int(np.argmax(bot_sizes < d))
+        return VerifyReport(
+            False, None, ("bottom-too-small", PointSet(n, int(bottoms[idx])))
+        )
+    if bool(np.any(top_sizes < k)):
+        idx = int(np.argmax(top_sizes < k))
+        return VerifyReport(
+            False, None, ("top-too-small", PointSet(n, int(tops[idx])))
+        )
+
+    dims = np.bincount(top_sizes - bot_sizes)
+    total = sum(int(count) << dim for dim, count in enumerate(dims))
+    if total > MAX_MEMBERS:
+        raise BadParameters(
+            f"the certificate has {total} members to enumerate, above the "
+            f"limit of {MAX_MEMBERS}"
+        )
+    members = interval_members_reference(bottoms, tops)
+    members.sort()
+    if len(members) > 1 and bool(np.any(members[1:] == members[:-1])):
+        idx = int(np.argmax(members[1:] == members[:-1]))
+        return VerifyReport(
+            False, None, ("overlap", PointSet(n, int(members[idx])))
+        )
+
+    ranks = popcount_array(members)
+    counts = np.bincount(ranks, minlength=n + 1)
+    coverage = {t: int(counts[t]) for t in range(d, n + 1)}
+    for t in range(d, k):
+        want = math.comb(n, t)
+        if counts[t] != want:
+            missing = _find_missing(n, t, members[ranks == t])
+            return VerifyReport(False, None, ("gap-at-rank", t, missing), coverage)
+
+    return VerifyReport(True, k, None, coverage)

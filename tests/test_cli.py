@@ -1,4 +1,5 @@
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from vsdepth import construct, solver
 from vsdepth.cli import run
 from vsdepth.errors import MatchingFailed
-from vsdepth.intervals import Certificate
+from vsdepth.intervals import Certificate, format_certificate
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -187,6 +188,16 @@ class TestConstructVerifyRender:
         assert lines[0] == "VSDEPTH-CERT v1"
         assert lines[1] == "n=3 d=1 k=2"
 
+    def test_stdout_bytes_match_file(self, tmp_path):
+        # a real stdout, not a capture: the text goes to its byte buffer
+        cert_path = tmp_path / "cert.txt"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        argv = [sys.executable, "-m", "vsdepth", "construct", "--n", "9", "--d", "2"]
+        out = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+        subprocess.run([*argv, "--out", str(cert_path)], env=env, check=True)
+        assert out == cert_path.read_bytes()
+        assert out == format_certificate(construct.construct_general(9, 2))
+
 
 class TestBounds:
     def test_exact(self, capsys):
@@ -228,7 +239,6 @@ class TestSdepth:
         assert secs < 3.0
 
     @pytest.mark.parametrize("argv", [
-        ["sdepth", "--n", 40, "--d", 2],
         ["sdepth", "--n", 34, "--d", 2, "--k", 11],
         ["scan", "--max-n", 29],
     ])
@@ -236,6 +246,15 @@ class TestSdepth:
         code, out, err, secs = run_capped(*argv)
         assert (code, out) == (2, "") and "above the limit" in err
         assert secs < 1.0
+
+    def test_exact_descends_below_member_limit(self):
+        # k = 14 is past the limit; the descent starts at k = 9, whose
+        # certificate has about 1.0e8 members, and reports a lower bound
+        code, out, _, secs = run_capped("sdepth", "--n", 40, "--d", 2,
+                                        "--budget-secs", 0.2, timeout=60.0)
+        assert code == 1
+        assert re.fullmatch(r"sdepth>=\d+ status=member-limit nodes=\d+\n", out)
+        assert secs < 10.0
 
     def test_writes_certificate(self, tmp_path, capsys):
         cert_path = str(tmp_path / "cert.txt")

@@ -26,6 +26,7 @@ from vsdepth.errors import BadParameters, DepthMismatch, MatchingFailed
 from vsdepth.intervals import Certificate, verify_certificate
 from vsdepth.setcore import (
     format_masks,
+    interval_members,
     make_set,
     popcount_array,
     size_masks_array,
@@ -106,6 +107,17 @@ class TestUncovered:
 
     def test_n5_rank2_empty(self):
         assert len(uncovered(5, 1, 3, 2)) == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_set_difference(self, d):
+        # the c4 leftover ranks, against the sort-based set difference
+        n = 4 * d + 3
+        bottoms, tops = _veronese_arrays(n, d, 4)
+        members = interval_members(bottoms, tops)
+        sizes = popcount_array(members)
+        for t, got in zip((d + 2, d + 3), _uncovered_masks(n, bottoms, tops, (d + 2, d + 3))):
+            want = np.setdiff1d(size_masks_array(n, t), members[sizes == t])
+            assert np.array_equal(got, want)
 
     def test_n7_counts(self):
         got = _uncovered_masks(7, *_veronese_arrays(7, 1, 4), [3, 4])

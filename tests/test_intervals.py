@@ -1,8 +1,10 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,13 +32,16 @@ from vsdepth.intervals import (
     render_stanley,
     verify_certificate,
 )
-from vsdepth.setcore import PointSet, make_set
+from vsdepth.construct import plan
+from vsdepth.setcore import PointSet, interval_members, make_set
 
 from oracles import (
     gap_witness_reference,
+    interval_members_reference,
     intervals_share_member,
     parse_certificate_reference,
     set_literal_naive,
+    verify_reference,
 )
 
 
@@ -80,7 +85,7 @@ class TestNewCertificate:
 
         monkeypatch.setattr(np, "lexsort", refuse)
         for cert in (construct_c2(3), construct_c3(2), parse_certificate(text)):
-            assert format_certificate(cert).count("\n") == cert.num_explicit + 3
+            assert format_certificate(cert).count(b"\n") == cert.num_explicit + 3
 
 
 class TestVerify:
@@ -287,6 +292,79 @@ class TestVerify:
         assert report.first_violation[0] == "top-too-small"
 
 
+def sliced_mutants(cert, rng):
+    """``cert`` and its mutants: one interval dropped, one duplicated, a
+    bit of one top flipped, a bit of one bottom flipped, a top given the
+    member n+1, and the depth claimed one higher."""
+    n, d, k = cert.universe_size, cert.min_generator_size, cert.claimed_depth
+    bottoms, tops = cert.bottom_masks, cert.top_masks
+    out = [cert, Certificate(n, d, k + 1, bottoms, tops)]
+    if cert.num_explicit:
+        i, bit = rng.randrange(cert.num_explicit), np.int64(1 << rng.randrange(n))
+        flip_top, flip_bottom, outside = tops.copy(), bottoms.copy(), tops.copy()
+        flip_top[i] ^= bit
+        flip_bottom[i] ^= bit
+        outside[i] |= np.int64(1 << n)
+        out += [
+            Certificate(n, d, k, np.delete(bottoms, i), np.delete(tops, i)),
+            Certificate(n, d, k, np.insert(bottoms, i, bottoms[i]),
+                        np.insert(tops, i, tops[i])),
+            Certificate(n, d, k, bottoms, flip_top),
+            Certificate(n, d, k, flip_bottom, tops),
+            Certificate(n, d, k, bottoms, outside),
+        ]
+    return out
+
+
+@pytest.fixture
+def small_slices(monkeypatch):
+    """Slices of 8, so that every sliced step crosses slice boundaries."""
+    monkeypatch.setattr(setcore, "_SLICE", 8)
+
+
+class TestSlicedAgainstReference:
+    CELLS = [(n, d) for n in range(1, 13) for d in range(1, n + 1)]
+
+    def test_members_identical(self, small_slices):
+        for n, d in self.CELLS:
+            cert = construct_general(n, d)
+            for mutant in sliced_mutants(cert, random.Random(n * 64 + d)):
+                got = interval_members(mutant.bottom_masks, mutant.top_masks)
+                want = interval_members_reference(mutant.bottom_masks, mutant.top_masks)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cell", [(21, 1), (22, 2), (21, 3)])
+    def test_members_identical_at_full_slices(self, cell):
+        cert = construct_general(*cell)
+        got = interval_members(cert.bottom_masks, cert.top_masks)
+        assert np.array_equal(got, interval_members_reference(cert.bottom_masks,
+                                                              cert.top_masks))
+
+    def test_reports_identical(self, small_slices):
+        tags = set()
+        for n, d in self.CELLS:
+            cert = construct_general(n, d)
+            for mutant in sliced_mutants(cert, random.Random(n * 64 + d)):
+                report = verify_certificate(mutant)
+                assert report == verify_reference(mutant)
+                tags.add(report.first_violation and report.first_violation[0])
+        assert tags == {None, "outside-universe", "bottom-not-in-top",
+                        "bottom-too-small", "top-too-small", "overlap", "gap-at-rank"}
+
+    def test_working_memory_is_the_member_array(self):
+        # verify_reference, with full-length temporaries, traces 2.13
+        # times the member array here; sliced, the rest is O(slice)
+        cert = construct_general(22, 2)
+        members = plan(22, 2).members
+        tracemalloc.start()
+        try:
+            assert verify_certificate(cert).valid
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * members
+
+
 class TestRender:
     def test_summand_forms(self):
         cert = construct_c3(1)
@@ -318,10 +396,10 @@ class TestFileFormat:
     def test_layout(self):
         text = format_certificate(c2_like_certificate())
         lines = text.splitlines()
-        assert lines[0] == "VSDEPTH-CERT v1"
-        assert lines[1] == "n=3 d=1 k=2"
-        assert lines[2] == "interval {1} {1,2}"
-        assert lines[-1] == "trivial-completion"
+        assert lines[0] == b"VSDEPTH-CERT v1"
+        assert lines[1] == b"n=3 d=1 k=2"
+        assert lines[2] == b"interval {1} {1,2}"
+        assert lines[-1] == b"trivial-completion"
 
     def test_matches_naive_spelling(self):
         # more intervals than one formatting slice, in no particular order
@@ -332,8 +410,8 @@ class TestFileFormat:
         pairs = sorted(zip(bottoms.tolist(), tops.tolist()))
         lines = [f"interval {set_literal_naive(b)} {set_literal_naive(t)}" for b, t in pairs]
         text = format_certificate(cert)
-        assert text.splitlines() == ["VSDEPTH-CERT v1", "n=12 d=1 k=2", *lines,
-                                     "trivial-completion"]
+        assert text == "\n".join(["VSDEPTH-CERT v1", "n=12 d=1 k=2", *lines,
+                                  "trivial-completion", ""]).encode()
         back = parse_certificate(text)
         assert list(zip(back.bottom_masks.tolist(), back.top_masks.tolist())) == pairs
 
@@ -378,6 +456,20 @@ class TestFileFormat:
         with pytest.raises((CertificateFormatError, ElementOutOfRange)):
             parse_certificate(body + "\n")
 
+    def test_pinned_digest(self):
+        # sha256 over the per-certificate sha256 digests of the text
+        cells = [(n, d) for n in range(1, 15) for d in range(1, n + 1)]
+        cells += [(21, 1), (22, 2), (21, 3), (19, 9), (23, 7), (23, 5)]
+        certs = [construct_general(n, d) for n, d in cells]
+        certs += [construct_c2(d) for d in range(1, 12)]
+        certs += [construct_c3(d) for d in range(1, 8)]
+        certs += [construct_c4(d) for d in range(1, 7)]
+        assert len(certs) == 135
+        digests = b"".join(hashlib.sha256(format_certificate(c)).digest() for c in certs)
+        assert hashlib.sha256(digests).hexdigest() == (
+            "1b23ee426a3b8c615268604e27d77e0c7eeffa70b3cf1fc8d2586a03ec901cff"
+        )
+
     def test_format_refuses_members_outside_universe(self):
         cert = Certificate.from_arrays(3, 1, 2, [0b1000], [0b1001])
         with pytest.raises(ElementOutOfRange):
@@ -389,7 +481,7 @@ def certificate_text(source: tuple) -> str:
     builders = {"c2": construct_c2, "c3": construct_c3, "c4": construct_c4,
                 "general": construct_general}
     kind, *args = source
-    return format_certificate(builders[kind](*args))
+    return format_certificate(builders[kind](*args)).decode()
 
 
 def parse_outcome(parse, text):
@@ -549,14 +641,14 @@ def refuse_lenient(monkeypatch):
 
 class TestCanonicalTextTakesTheBytePass:
     def test_guard_bites(self, refuse_lenient):
-        text = format_certificate(construct_c3(1)).replace("{1}", "{01}")
+        text = format_certificate(construct_c3(1)).replace(b"{1}", b"{01}")
         with pytest.raises(AssertionError):
             parse_certificate(text)
 
     def test_crlf_line_ends(self, refuse_lenient):
         cert = construct_c4(5)
-        text = format_certificate(cert).replace("\n", "\r\n")
-        back = parse_certificate(text.encode())
+        text = format_certificate(cert).replace(b"\n", b"\r\n")
+        back = parse_certificate(text)
         assert np.array_equal(back.bottom_masks, cert.bottom_masks)
         assert np.array_equal(back.top_masks, cert.top_masks)
 
@@ -569,7 +661,7 @@ class TestCanonicalTextTakesTheBytePass:
                  Certificate.from_arrays(d + 1, 1, 1, [0], [(1 << d + 1) - 1])]
         for cert in certs:
             text = format_certificate(cert)
-            back = parse_certificate(text.encode())
+            back = parse_certificate(text)
             assert np.array_equal(back.bottom_masks, cert.bottom_masks)
             assert np.array_equal(back.top_masks, cert.top_masks)
             assert format_certificate(back) == text
@@ -579,8 +671,8 @@ class TestCanonicalTextTakesTheBytePass:
         full = (1 << 63) - 1
         cert = Certificate.from_arrays(63, 1, 63, [1, 1 << 62, 0], [full, 1 << 62, full])
         text = format_certificate(cert)
-        assert "interval {63} {63}\n" in text
-        back = parse_certificate(text.encode())
+        assert b"interval {63} {63}\n" in text
+        back = parse_certificate(text)
         assert back.bottom_masks.tolist() == [0, 1, 1 << 62]
         assert back.top_masks.tolist() == [full, full, 1 << 62]
         assert format_certificate(back) == text

@@ -13,12 +13,14 @@ from vsdepth.setcore import (
     circ_mask,
     format_masks,
     interval_members,
+    literal_width,
     make_set,
     mask_bits,
     parse_masks,
     popcount_array,
     size_masks_array,
     sorted_unique,
+    write_literals,
 )
 
 from oracles import interval_members_naive, iter_size_masks, set_literal_naive
@@ -144,6 +146,17 @@ class TestSetLiteral:
         literals = format_masks(np.array(masks, dtype=np.int64))
         assert literals == [set_literal_naive(m) for m in masks]
         assert parse_masks(literals, 63).tolist() == masks
+
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_literals_at_every_universe(self, n):
+        # zero, each single member, the full set and random masks over [n]
+        rng = random.Random(n)
+        masks = [0, (1 << n) - 1, *(1 << i for i in range(n)),
+                 *(rng.getrandbits(n) for _ in range(200))]
+        rows = np.zeros((len(masks), literal_width(n)), dtype=np.uint8)
+        write_literals(rows, np.array(masks, dtype=np.int64), n)
+        spelled = rows.tobytes().translate(None, b"\0").decode()
+        assert spelled == "".join(set_literal_naive(m) for m in masks)
 
 
 def test_popcount_array():

@@ -142,8 +142,6 @@ class TestCertifyAtLeast:
         t0 = time.monotonic()
         with pytest.raises(BadParameters, match="above the limit"):
             certify_at_least(n, d, k, BUDGET)
-        with pytest.raises(BadParameters, match="above the limit"):
-            exact_sdepth(n, d, BUDGET)
         assert time.monotonic() - t0 < 1.0
 
     def test_least_uncovered_against_colex_scan(self):
@@ -282,6 +280,18 @@ class TestExactSdepth:
                 result = exact_sdepth(n, d, BUDGET)
                 assert result.status == "proved"
                 assert result.value_or_bound == d + (n - d) // (d + 1), (n, d)
+
+    def test_descends_from_the_largest_k_in_the_limit(self, monkeypatch):
+        # at (9, 1) the upper bound 5 needs 255 members and k = 4 needs 129
+        monkeypatch.setattr(solver, "MAX_MEMBERS", 130)
+        result = exact_sdepth(9, 1, BUDGET)
+        assert (result.status, result.value_or_bound) == ("member-limit", 4)
+        report = verify_certificate(result.certificate)
+        assert report.valid and report.achieved_depth == 4
+        monkeypatch.setattr(solver, "MAX_MEMBERS", 129)
+        assert exact_sdepth(9, 1, BUDGET).value_or_bound == 4
+        monkeypatch.setattr(solver, "MAX_MEMBERS", 255)
+        assert exact_sdepth(9, 1, BUDGET).status == "proved"
 
     def test_exhaustion_reported(self):
         result = exact_sdepth(9, 2, SearchBudget(max_nodes=2, wall_time_limit=30.0))
