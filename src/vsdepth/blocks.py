@@ -23,12 +23,19 @@ its second lap:
   only ever restarts from 0 where the true run keeps s >= q), so it is
   closed too by the time the true block containing point 1 has ended;
 - from the first point at which both runs are closed, they agree.
+
+At q = 1, "s < 1 -> 0" is max(s, 0), so s' = max(s, 0) + w with w = c-1
+or -1.  ``recurrence_signs`` runs that over mask arrays for two rules:
+``f_int_masks`` (f_c: gaps where s' < 0 on the second lap from point 1)
+and ``construct.chain_successor_bits`` (the parenthesis rule: one lap at
+c = 2 from point n down; max(s, 0) counts the pending ')', and s' < 0
+marks an unmatched '(').
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -233,30 +240,40 @@ def f_delta(n: int, A: PointSet, delta: Density) -> PointSet:
     return A | bs.gap_set()
 
 
+def recurrence_signs(masks: np.ndarray, c: int,
+                     positions) -> Iterator[tuple[int, np.ndarray]]:
+    """``(i, negative)`` per position i of the sequence ``positions``:
+    per mask, whether s' < 0 in the q = 1 recurrence from s = 0, with
+    w = c-1 <= 62 at a member; ``negative`` is rewritten in place."""
+    # -1 <= s <= len(positions)(c-1): 126 at c = 2, else at most 2*63*62
+    bound = len(positions) * (c - 1)
+    s = np.zeros(np.shape(masks), dtype=np.int8 if bound < 1 << 7 else np.int16)
+    negative = np.empty(np.shape(masks), dtype=bool)
+    for i, bits in mask_bits(masks, positions):
+        np.maximum(s, 0, out=s)
+        w = bits.view(np.int8)
+        w *= c
+        s += w
+        s -= 1
+        np.less(s, 0, out=negative)
+        yield i, negative
+
+
 def f_int_masks(n: int, c: int, masks: np.ndarray) -> np.ndarray:
     """Vectorized f_c for integer density c over an array of set masks.
 
-    This is the recurrence of the module doc at q = 1, where "s < 1 -> 0"
-    is ``max(s, 0)`` on integers: members weigh c-1, non-members -1, and a
-    point lies in a gap iff s' < 0 on the second of two laps.
+    Over the d-sets, the intervals [A, f_c(A)] are disjoint at n =
+    (d+1)c-1 (the paper's bases).  At n = (d+1)c-2 they are too, with the
+    least top at the upper bound: an observation that tests/test_blocks.py
+    checks, not a theorem of the paper.
     """
     if c < 2:
         raise DensityOutOfRange(f"vectorized f_c needs integer c >= 2, got {c}")
     masks = np.asarray(masks, dtype=np.int64)
     # from c = n on, an arc from a member never goes negative, so f_c = f_n
     c = min(c, n)
-    # -1 <= best <= 2n(c-1) <= 2*63*62 after the clamp: int32 holds it
-    best = np.zeros(masks.shape, dtype=np.int32)
-    negative = np.empty(masks.shape, dtype=bool)
     gaps = np.zeros(masks.shape, dtype=np.int64)
-    for step, (i, bits) in enumerate(mask_bits(masks, [*range(n), *range(n)])):
-        # best = max(w, best + w) = max(best, 0) + w, where the weight w
-        # is c-1 for a member and -1 otherwise; c <= 63 fits the uint8 bits
-        np.maximum(best, 0, out=best)
-        bits *= c
-        best += bits
-        best -= 1
+    for step, (i, negative) in enumerate(recurrence_signs(masks, c, [*range(n)] * 2)):
         if step >= n:
-            np.less(best, 0, out=negative)
             np.bitwise_or(gaps, np.int64(1 << i), out=gaps, where=negative)
     return masks | gaps

@@ -16,13 +16,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .blocks import f_int_masks
+from .blocks import f_int_masks, recurrence_signs
 from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismatch
-from .intervals import MAX_MEMBERS, Certificate, verify_certificate
+from .intervals import Certificate, check_cell, check_members, verify_certificate
 from .setcore import (
-    MAX_UNIVERSE,
     interval_members,
-    mask_bits,
     popcount_array,
     size_masks_array,
     sorted_unique,
@@ -60,23 +58,14 @@ def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
     parentheses, and report the leftmost unmatched '('.  Adding that
     position to the set is injective over masks of a fixed size.  Raises
     if some mask has no unmatched opening position (only possible when
-    members are at least half the universe).
+    members are at least half the universe).  It is one lap of
+    ``recurrence_signs`` at c = 2 from point n down, keeping the lowest
+    position where the value dips below 0.
     """
     masks = np.asarray(masks, dtype=np.int64)
     pos = np.full(masks.shape, -1, dtype=np.int32)
-    # at most n <= 63 closes are pending, and one step moves by 1: int8
-    unmatched_close = np.zeros(masks.shape, dtype=np.int8)
-    opened = np.empty(masks.shape, dtype=bool)
-    for i, bits in mask_bits(masks, range(n - 1, -1, -1)):
-        # step is +1 for a member ')' and -1 for a non-member '('
-        step = bits.view(np.int8)
-        step += step
-        step -= 1
-        unmatched_close += step
-        # a '(' with no ')' pending is unmatched; the leftmost one wins
-        np.less(unmatched_close, 0, out=opened)
-        np.copyto(pos, i, where=opened)
-        np.maximum(unmatched_close, 0, out=unmatched_close)
+    for i, negative in recurrence_signs(masks, 2, range(n - 1, -1, -1)):
+        np.copyto(pos, i, where=negative)
     if bool(np.any(pos < 0)):
         raise MatchingFailed("a set has no unmatched opening position")
     return pos
@@ -89,9 +78,8 @@ def construct_c2(d: int) -> Certificate:
     n = 2d+1 the two ranks have equal size, so the matching is a
     bijection and the 1-cubes tile both ranks.
     """
-    if d < 1:
-        raise BadParameters(f"d={d} must be >= 1")
     n = 2 * d + 1
+    check_cell(n, d)
     bottoms = size_masks_array(n, d)
     tops = bottoms | (np.int64(1) << chain_successor_bits(bottoms, n).astype(np.int64))
     return Certificate.from_arrays(n, d, d + 1, bottoms, tops)
@@ -99,9 +87,8 @@ def construct_c2(d: int) -> Certificate:
 
 def construct_c3(d: int) -> Certificate:
     """Depth d+2 certificate for n = 3d+2: exactly the f_3 intervals."""
-    if d < 1:
-        raise BadParameters(f"d={d} must be >= 1")
     n = 3 * d + 2
+    check_cell(n, d)
     bottoms, tops = _veronese_arrays(n, d, 3)
     return Certificate.from_arrays(n, d, d + 2, bottoms, tops)
 
@@ -114,9 +101,8 @@ def construct_c4(d: int) -> Certificate:
     an uncovered set is uncovered, so the parenthesis successor lands in
     the target side) and the leftovers fall to the trivial completion.
     """
-    if d < 1:
-        raise BadParameters(f"d={d} must be >= 1")
     n = 4 * d + 3
+    check_cell(n, d)
     bottoms, tops = _veronese_arrays(n, d, 4)
     v1, v2 = _uncovered_masks(n, bottoms, tops, (d + 2, d + 3))
     matched = v1 | (np.int64(1) << chain_successor_bits(v1, n).astype(np.int64))
@@ -134,11 +120,9 @@ def construct_c4(d: int) -> Certificate:
     return Certificate.from_arrays(n, d, d + 3, all_bottoms, all_tops)
 
 
-def full_ring_certificate(n: int, k: Optional[int] = None) -> Certificate:
+def full_ring_certificate(n: int) -> Certificate:
     """The (n, 0) base object: the single interval [empty, [n]]."""
-    full = np.array([(1 << n) - 1], dtype=np.int64)
-    empty = np.zeros(1, dtype=np.int64)
-    return Certificate.from_arrays(n, 0, n if k is None else k, empty, full)
+    return Certificate.from_arrays(n, 0, n, [0], [(1 << n) - 1])
 
 
 def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
@@ -212,28 +196,18 @@ def plan(m: int, e: int) -> Step:
     return Step("compose", 0, p2.depth, p1.members + p2.members)
 
 
-def _check_degree(n: int, d: int) -> None:
-    if not 1 <= d <= n <= MAX_UNIVERSE:
-        raise BadParameters(f"need 1 <= d <= n <= {MAX_UNIVERSE}, got d={d}, n={n}")
-
-
 def construct_general(n: int, d: int) -> Certificate:
     """Certified lower-bound certificate for arbitrary 1 <= d <= n <= 63.
 
     Builds the certificate that ``plan`` lays out; the degree-0 leg of
     each composition is the full-ring interval.  A plan whose verification
-    would enumerate more than ``MAX_MEMBERS`` sets is refused with
-    ``BadParameters`` before anything is built.  The result is verified
+    would enumerate more members than the verifier holds is refused by
+    ``check_members`` before anything is built.  The result is verified
     once, here; a failure is an internal error and raises
     ``AssertionError``.
     """
-    _check_degree(n, d)
-    members = plan(n, d).members
-    if members > MAX_MEMBERS:
-        raise BadParameters(
-            f"the certificate for n={n}, d={d} has {members} members to "
-            f"verify, above the limit of {MAX_MEMBERS}"
-        )
+    check_cell(n, d)
+    check_members(plan(n, d).members, f"the certificate for n={n}, d={d}")
     memo: dict[tuple[int, int], Certificate] = {}
 
     def build(m: int, e: int) -> Certificate:
@@ -243,8 +217,7 @@ def construct_general(n: int, d: int) -> Certificate:
         if step.kind == "full":
             cert = full_ring_certificate(m)
         elif step.kind == "trivial":
-            empty = np.empty(0, dtype=np.int64)
-            cert = Certificate.from_arrays(m, e, step.depth, empty, empty)
+            cert = Certificate.from_arrays(m, e, step.depth, [], [])
         elif step.kind == "base":
             cert = _BASE_BUILDERS[step.c](e)
         else:
@@ -278,13 +251,12 @@ def bounds(n: int, d: int) -> Bounds:
 
     ``lower_certified`` is the depth of ``plan``, which is what
     ``construct_general`` certifies.  Exact values: the counting upper
-    bound is attained for n < 5d+4 and for d >= ceil(n/2) (where it
-    collapses to d), and d = 1 is the known ceil(n/2) case.
+    bound is attained for n < 5d+4, and d = 1 is the known ceil(n/2) case.
     """
-    _check_degree(n, d)
+    check_cell(n, d)
     upper = d + (n - d) // (d + 1)
     lower = plan(n, d).depth
     known: Optional[int] = None
-    if n < 5 * d + 4 or d >= math.ceil(n / 2) or d == 1:
+    if n < 5 * d + 4 or d == 1:
         known = upper
     return Bounds(n, d, lower, upper, known, upper)

@@ -42,6 +42,10 @@ class BadParameters(VsdepthError):
     pass
 
 
+class MemberLimitExceeded(BadParameters):
+    """A certificate would have more members than the verifier holds."""
+
+
 class DepthMismatch(VsdepthError):
     pass
 

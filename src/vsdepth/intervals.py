@@ -22,6 +22,7 @@ from .errors import (
     BadParameters,
     CertificateFormatError,
     ElementOutOfRange,
+    MemberLimitExceeded,
     RefusesUnverified,
 )
 from .setcore import (
@@ -59,6 +60,22 @@ _FORMAT_SLICE = 1 << 14
 # full-length step a slice at a time, so the array is its working memory:
 # (26, 1), about 2^26 members, builds and verifies at 544 MB peak RSS.
 MAX_MEMBERS = 1 << 27
+
+
+def check_members(count: int, what: str) -> None:
+    """Refuse ``what``, a certificate of ``count`` members to verify, when
+    that is more than the verifier holds."""
+    if count > MAX_MEMBERS:
+        raise MemberLimitExceeded(
+            f"{what} has {count} members to verify, above the limit of {MAX_MEMBERS}"
+        )
+
+
+def check_cell(n: int, d: int, k: Optional[int] = None) -> None:
+    """Refuse parameters outside 1 <= d <= k <= n <= 63; k defaults to d."""
+    if not _in_domain(n, d, d if k is None else k):
+        got = f"n={n}, d={d}" + ("" if k is None else f", k={k}")
+        raise BadParameters(f"need 1 <= d <= k <= n <= {MAX_UNIVERSE}, got {got}")
 
 
 def _pair_values() -> np.ndarray:
@@ -102,26 +119,24 @@ class Certificate:
     ) -> "Certificate":
         """Certificate with the intervals in (bottom, top) order; arrays
         already in that order are kept, not copied."""
-        bottoms = np.asarray(bottoms, dtype=np.int64)
-        tops = np.asarray(tops, dtype=np.int64)
-        if not _in_order(bottoms, tops):
-            order = np.lexsort((tops, bottoms))
-            bottoms, tops = bottoms[order], tops[order]
-        return cls(n, d, k, bottoms, tops)
+        return cls(n, d, k, *_ordered(np.asarray(bottoms, dtype=np.int64),
+                                      np.asarray(tops, dtype=np.int64)))
 
     @property
     def num_explicit(self) -> int:
         return len(self.bottom_masks)
 
 
-def _in_order(bottoms: np.ndarray, tops: np.ndarray) -> bool:
-    """True iff the (bottom, top) pairs already ascend as
-    ``np.lexsort((tops, bottoms))`` would order them."""
+def _ordered(bottoms: np.ndarray, tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The intervals in (bottom, top) order: the arrays themselves when
+    they already ascend so, else sorted copies."""
     rise = bottoms[1:] > bottoms[:-1]
-    if rise.all():
-        return True
-    tie = bottoms[1:] == bottoms[:-1]
-    return bool(np.all(rise | tie & (tops[1:] >= tops[:-1])))
+    if rise.all() or np.all(
+        rise | (bottoms[1:] == bottoms[:-1]) & (tops[1:] >= tops[:-1])
+    ):
+        return bottoms, tops
+    order = np.lexsort((tops, bottoms))
+    return bottoms[order], tops[order]
 
 
 @dataclass
@@ -142,8 +157,8 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     found disjoint.  An interval end with members outside [n] is reported
     as ``("outside-universe", mask)`` with a plain int mask, since no
     PointSet can hold it.  Past the checks that need no enumeration, a
-    certificate of more than ``MAX_MEMBERS`` members is refused with
-    ``BadParameters`` before any member is listed.
+    certificate of more members than the verifier holds is refused by
+    ``check_members`` before any member is listed.
     """
     n = cert.universe_size
     d = cert.min_generator_size
@@ -174,12 +189,8 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     dims = np.zeros(n + 1, dtype=np.int64)
     for part in slices(len(bottoms)):
         dims += np.bincount(popcount_array(tops[part] & ~bottoms[part]), minlength=n + 1)
-    total = sum(int(count) << dim for dim, count in enumerate(dims))
-    if total > MAX_MEMBERS:
-        raise BadParameters(
-            f"the certificate has {total} members to enumerate, above the "
-            f"limit of {MAX_MEMBERS}"
-        )
+    check_members(sum(int(count) << dim for dim, count in enumerate(dims)),
+                  "the certificate")
     members = interval_members(bottoms, tops)
     members.sort()
     idx = _first(lambda part: members[part.start + 1:part.stop + 1] == members[part],
@@ -264,10 +275,7 @@ def format_certificate(cert: Certificate) -> bytes:
     ``bytes.translate``.
     """
     n = cert.universe_size
-    bottoms, tops = cert.bottom_masks, cert.top_masks
-    if not _in_order(bottoms, tops):
-        order = np.lexsort((tops, bottoms))
-        bottoms, tops = bottoms[order], tops[order]
+    bottoms, tops = _ordered(cert.bottom_masks, cert.top_masks)
     if bool(np.any((bottoms | tops) >> n)):
         raise ElementOutOfRange(f"an interval has members outside 1..{n}")
     width = literal_width(n)

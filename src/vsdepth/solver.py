@@ -47,8 +47,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .construct import bounds
-from .errors import BadParameters
-from .intervals import MAX_MEMBERS, Certificate, verify_certificate
+from .errors import BadParameters, MemberLimitExceeded
+from .intervals import Certificate, check_cell, check_members, verify_certificate
 from .setcore import MAX_UNIVERSE
 
 
@@ -206,30 +206,28 @@ class _Searcher:
                 return False
 
 
-def _members(n: int, d: int, k: int) -> int:
-    """The fewest members a certificate for (n, d, k) has: it covers
-    every set of ranks d..k-1 with explicit intervals."""
-    return sum(math.comb(n, r) for r in range(d, k))
-
-
-def _check_members(n: int, d: int, k: int) -> None:
-    """Refuse a cell whose certificate the verifier could not hold."""
-    members = _members(n, d, k)
-    if members > MAX_MEMBERS:
-        raise BadParameters(
-            f"a certificate for n={n}, d={d}, k={k} has at least {members} "
-            f"members to verify, above the limit of {MAX_MEMBERS}"
+def _verified(cert: Certificate) -> Optional[Certificate]:
+    """``cert`` once the verifier accepts it; None when it has more
+    members than the verifier holds, which the pre-search lower bound
+    cannot rule out.  A rejection is an internal error."""
+    try:
+        report = verify_certificate(cert)
+    except MemberLimitExceeded:
+        return None
+    if not report.valid or report.achieved_depth < cert.claimed_depth:
+        raise AssertionError(
+            f"solver produced an invalid certificate: {report.first_violation}"
         )
+    return cert
 
 
 def certify_at_least(n: int, d: int, k: int, budget: SearchBudget) -> SolveResult:
-    """Decide whether an interval partition with min top size >= k exists;
-    a cell past the verifier's member limit is refused up front."""
-    if not (1 <= d <= k <= n <= MAX_UNIVERSE):
-        raise BadParameters(
-            f"need 1 <= d <= k <= n <= {MAX_UNIVERSE}, got n={n}, d={d}, k={k}"
-        )
-    _check_members(n, d, k)
+    """Decide whether an interval partition with min top size >= k exists.
+    A cell whose ranks d..k-1 alone pass the member limit is refused up
+    front; past that lower bound, a proof over the limit is ``member-limit``."""
+    check_cell(n, d, k)
+    check_members(sum(math.comb(n, r) for r in range(d, k)),
+                  f"a certificate for n={n}, d={d}, k={k}, at ranks {d}..{k - 1} alone,")
     searcher = _Searcher(n, d, k, budget)
     try:
         found = searcher.search()
@@ -239,37 +237,39 @@ def certify_at_least(n: int, d: int, k: int, budget: SearchBudget) -> SolveResul
         return SolveResult("disproved", k, None, searcher.nodes)
     bottoms = np.array([b for b, _ in searcher.chosen], dtype=np.int64)
     tops = np.array([t for _, t in searcher.chosen], dtype=np.int64)
-    cert = Certificate.from_arrays(n, d, k, bottoms, tops)
-    report = verify_certificate(cert)
-    if not report.valid or report.achieved_depth < k:
-        raise AssertionError(
-            f"solver produced an invalid certificate: {report.first_violation}"
-        )
-    return SolveResult("proved", k, cert, searcher.nodes)
+    cert = _verified(Certificate.from_arrays(n, d, k, bottoms, tops))
+    status = "proved" if cert is not None else "member-limit"
+    return SolveResult(status, k, cert, searcher.nodes)
 
 
 def exact_sdepth(n: int, d: int, budget: SearchBudget) -> SolveResult:
-    """Exact value by descending from the counting upper bound.
+    """Exact value by descending from the counting upper bound, under one
+    deadline and one node allowance for the whole descent.
 
-    The descent starts at the largest k whose certificate fits the
-    member limit.  The first k proved gives the exact value when every
-    k above it was disproved; if the descent had to start below the
-    upper bound the status is ``member-limit``, and if a budget ran out
-    along the way it is ``budget-exhausted``.  Either way the reported
-    value is the best proved lower bound.
+    The first k proved is exact when every k above it was disproved.  A k
+    past the member limit makes the status ``member-limit``, and a k that
+    the budget left undecided or unsearched ``budget-exhausted`` (the first
+    wins); the value is then the best proved lower bound, at worst d.
     """
-    upper = bounds(n, d).upper
-    start = max(k for k in range(d, upper + 1) if _members(n, d, k) <= MAX_MEMBERS)
-    undecided = "member-limit" if start < upper else None
-    total_nodes = 0
-    for k in range(start, d - 1, -1):
-        result = certify_at_least(n, d, k, budget)
-        total_nodes += result.nodes_explored
-        if result.status == "proved":
-            return SolveResult(undecided or "proved", k, result.certificate, total_nodes)
-        if result.status == "budget-exhausted":
+    deadline = time.monotonic() + budget.wall_time_limit
+    nodes, undecided = 0, None
+    for k in range(bounds(n, d).upper, d, -1):
+        secs = deadline - time.monotonic()
+        if nodes >= budget.max_nodes or secs <= 0:
             undecided = undecided or "budget-exhausted"
-    raise AssertionError("depth d is always certifiable")
+            break
+        try:
+            result = certify_at_least(n, d, k, SearchBudget(budget.max_nodes - nodes, secs))
+        except MemberLimitExceeded:
+            undecided = undecided or "member-limit"
+            continue
+        nodes += result.nodes_explored
+        if result.status == "proved":
+            return SolveResult(undecided or "proved", k, result.certificate, nodes)
+        if result.status != "disproved":
+            undecided = undecided or result.status
+    cert = _verified(Certificate.from_arrays(n, d, d, [], []))
+    return SolveResult(undecided or "proved", d, cert, nodes)
 
 
 @dataclass
@@ -290,13 +290,11 @@ def _scan_case(n: int, d: int, budget: SearchBudget) -> ScanRow:
 
 
 def conjecture_scan(max_n: int, budget: SearchBudget) -> list[ScanRow]:
-    """Exact solve for all 1 <= d <= n <= max_n against the formula; every
-    cell is checked against the member limit before any is solved."""
+    """Exact solve for all 1 <= d <= n <= max_n against the formula, each
+    cell with its own budget; a cell past the member limit reports
+    ``member-limit`` and its best proved lower bound."""
     if not 1 <= max_n <= MAX_UNIVERSE:
         raise BadParameters(f"max_n={max_n} not in 1..{MAX_UNIVERSE}")
-    for n in range(1, max_n + 1):
-        for d in range(1, n + 1):
-            _check_members(n, d, bounds(n, d).upper)
     return [
         _scan_case(n, d, budget)
         for n in range(1, max_n + 1)

@@ -17,7 +17,14 @@ from vsdepth.blocks import (
     verify_block_structure,
 )
 from vsdepth.errors import DensityOutOfRange, EmptySet
-from vsdepth.setcore import PointSet, make_set, size_masks_array
+from vsdepth.setcore import (
+    PointSet,
+    interval_members,
+    make_set,
+    popcount_array,
+    size_masks_array,
+    sorted_unique,
+)
 
 import oracles
 from oracles import all_block_structures, f_int_masks_reference
@@ -255,3 +262,22 @@ class TestVectorizedF:
         assert np.array_equal(
             f_int_masks(n, c, masks), f_int_masks_reference(n, c, masks)
         )
+
+    def test_seeds_are_disjoint_and_reach_the_upper_bound(self):
+        # at n = (d+1)c-1, as the paper proves, and at n = (d+1)c-2, as
+        # observed: the f_c intervals over the d-sets share no member.
+        # The 44 cells 3 <= n <= 19, d <= (n-1)/2, C(n, d) <= 20,000 with
+        # d+1 dividing n+1 or n+2, then seeded cells past that grid
+        cells = [
+            (n, d) for n in range(3, 20) for d in range(1, (n - 1) // 2 + 1)
+            if math.comb(n, d) <= 20_000 and (n + 1) % (d + 1) in (0, d)
+        ]
+        assert len(cells) == 44
+        cells += [(22, 2), (22, 3), (23, 3), (24, 4), (25, 2), (26, 3), (28, 4), (30, 3)]
+        for n, d in cells:
+            c = -(-(n + 1) // (d + 1))
+            bottoms = size_masks_array(n, d)
+            tops = f_int_masks(n, c, bottoms)
+            members = interval_members(bottoms, tops)
+            assert len(sorted_unique(members)) == len(members), (n, d)
+            assert int(popcount_array(tops).min()) >= d + (n - d) // (d + 1), (n, d)

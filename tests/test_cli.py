@@ -1,13 +1,14 @@
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
 
 import pytest
 
-from vsdepth import construct, solver
+from vsdepth import construct, intervals, solver
 from vsdepth.cli import run
 from vsdepth.errors import MatchingFailed
 from vsdepth.intervals import Certificate, format_certificate
@@ -238,23 +239,35 @@ class TestSdepth:
         assert code == 1 and out.startswith("k=13 status=budget-exhausted")
         assert secs < 3.0
 
-    @pytest.mark.parametrize("argv", [
-        ["sdepth", "--n", 34, "--d", 2, "--k", 11],
-        ["scan", "--max-n", 29],
-    ])
-    def test_past_member_limit_refused(self, argv):
-        code, out, err, secs = run_capped(*argv)
+    def test_past_member_limit_refused(self):
+        code, out, err, secs = run_capped("sdepth", "--n", 34, "--d", 2, "--k", 11)
         assert (code, out) == (2, "") and "above the limit" in err
         assert secs < 1.0
 
+    def test_scan_reports_member_limit_per_cell(self, monkeypatch, capsys):
+        # at a limit of 130 the cells (9, d <= 4) are past it: each row
+        # says so, with its proved lower bound, and the scan still exits 0
+        monkeypatch.setattr(intervals, "MAX_MEMBERS", 130)
+        start = time.perf_counter()
+        assert run(["scan", "--max-n", "9"]) == 0
+        assert time.perf_counter() - start < 1.0
+        rows = [line.split() for line in out_lines(capsys)[1:]]
+        assert len(rows) == 45
+        assert [row[:4] for row in rows if row[4] == "member-limit"] == [
+            ["9", "1", "5", "3"], ["9", "2", "4", "3"],
+            ["9", "3", "4", "3"], ["9", "4", "5", "4"],
+        ]
+        assert all(row[4:] == ["proved"] for row in rows if row[4] != "member-limit")
+
     def test_exact_descends_below_member_limit(self):
-        # k = 14 is past the limit; the descent starts at k = 9, whose
-        # certificate has about 1.0e8 members, and reports a lower bound
+        # k = 14..10 are past the limit; k = 9, whose certificate has about
+        # 1.0e8 members, spends the one budget, so the lower bound is d
         code, out, _, secs = run_capped("sdepth", "--n", 40, "--d", 2,
                                         "--budget-secs", 0.2, timeout=60.0)
         assert code == 1
-        assert re.fullmatch(r"sdepth>=\d+ status=member-limit nodes=\d+\n", out)
-        assert secs < 10.0
+        assert re.fullmatch(r"sdepth>=2 status=member-limit nodes=\d+\n", out)
+        # the 0.2 s budget plus the interpreter's start
+        assert secs < 2.0
 
     def test_writes_certificate(self, tmp_path, capsys):
         cert_path = str(tmp_path / "cert.txt")
@@ -306,3 +319,26 @@ class TestScanAndUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout == "lower=5 upper=5 exact=5 conjectured=5\n"
+
+
+class TestReadme:
+    def test_cli_block_runs_as_documented(self, tmp_path, monkeypatch, capsys):
+        # each line of the sh block under "## CLI", in order, in one
+        # directory: exit 1 exactly where its comment says so, and a
+        # comment that shows output is that output
+        with open(os.path.join(SRC, "..", "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        lines = block.splitlines()
+        assert len(lines) == 9
+        for line in lines:
+            argv = shlex.split(line, comments=True)
+            comment = line.partition("#")[2].strip()
+            if argv[:3] == ["python", "-m", "vsdepth"]:
+                argv = argv[2:]
+            assert argv[0] == "vsdepth", line
+            assert run(argv[1:]) == (1 if "exit 1" in comment else 0), line
+            out = capsys.readouterr().out
+            if argv[1:] == ["bounds", "--n", "24", "--d", "4"]:
+                assert out == comment + "\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vsdepth import construct
+from vsdepth import construct, intervals
 from vsdepth.blocks import Density, f_delta
 from vsdepth.construct import (
     _uncovered_masks,
@@ -283,9 +283,13 @@ class TestBaseConstructions:
         assert cert.num_explicit == math.comb(7, 1) + 14
 
     def test_bad_degree(self):
+        # each builder checks its own cell (cd+c-1, d), n <= 63 included
         for builder in (construct_c2, construct_c3, construct_c4):
             with pytest.raises(BadParameters):
                 builder(0)
+        for builder, d in ((construct_c2, 32), (construct_c3, 21), (construct_c4, 16)):
+            with pytest.raises(BadParameters, match="n <= 63"):
+                builder(d)
 
 
 class TestCompose:
@@ -295,7 +299,8 @@ class TestCompose:
         assert report.valid and report.achieved_depth == 3
 
     def test_three_zero_plus_three_one(self):
-        composed = compose_plus1(full_ring_certificate(3, 2), construct_c2(1))
+        composed = compose_plus1(Certificate.from_arrays(3, 0, 2, [0], [0b111]),
+                                 construct_c2(1))
         assert composed.universe_size == 4
         assert composed.min_generator_size == 1
         report = verify_certificate(composed)
@@ -312,7 +317,8 @@ class TestCompose:
             np.append(p2.bottom_masks, p2.bottom_masks[0]),
             np.append(p2.top_masks, p2.top_masks[0]),
         )
-        report = verify_certificate(compose_plus1(full_ring_certificate(3, 2), p2))
+        p1 = Certificate.from_arrays(3, 0, 2, [0], [0b111])
+        report = verify_certificate(compose_plus1(p1, p2))
         assert not report.valid and report.first_violation[0] == "overlap"
 
     def test_overlapping_p1_overlaps(self):
@@ -327,7 +333,7 @@ class TestCompose:
 
     def test_depth_precondition(self):
         # p1 one short of p2's depth is required, deeper p2 must fail
-        shallow = full_ring_certificate(5, 1)
+        shallow = Certificate.from_arrays(5, 0, 1, [0], [0b11111])
         with pytest.raises(DepthMismatch):
             compose_plus1(shallow, construct_c3(1))
 
@@ -411,9 +417,18 @@ class TestPlan:
         assert plan(n, d).members == sum(1 << int(k) for k in dims.tolist())
 
     def test_limit(self):
-        assert plan(26, 1).members <= construct.MAX_MEMBERS
+        # the one binding of the limit is the verifier's
+        assert plan(26, 1).members <= intervals.MAX_MEMBERS
         for n, d in ((40, 3), (63, 2), (63, 7), (63, 31)):
-            assert plan(n, d).members > construct.MAX_MEMBERS
+            assert plan(n, d).members > intervals.MAX_MEMBERS
+
+    def test_follows_the_verifiers_limit(self, monkeypatch):
+        members = plan(9, 2).members
+        monkeypatch.setattr(intervals, "MAX_MEMBERS", members)
+        assert verify_certificate(construct_general(9, 2)).valid
+        monkeypatch.setattr(intervals, "MAX_MEMBERS", members - 1)
+        with pytest.raises(BadParameters, match="above the limit"):
+            construct_general(9, 2)
 
     def test_oversized_refused_before_building(self, monkeypatch):
         def build(*args):
@@ -452,6 +467,12 @@ class TestBounds:
                 assert d <= b.lower_certified <= b.upper
                 if b.known_exact is not None:
                     assert b.lower_certified <= b.known_exact <= b.upper
+
+    def test_known_exact_count(self):
+        # n < 5d+4 or d = 1; d >= ceil(n/2) adds no cell, as n < 5d+4 there
+        cells = [(n, d) for n in range(1, 64) for d in range(1, n + 1)]
+        assert len(cells) == 2016
+        assert sum(bounds(n, d).known_exact is not None for n, d in cells) == 1741
 
     def test_bad_params(self):
         with pytest.raises(BadParameters):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsdepth import solver
+from vsdepth import intervals, solver
 from vsdepth.construct import bounds
 from vsdepth.errors import BadParameters
 from vsdepth.intervals import Certificate, format_certificate, verify_certificate
@@ -282,22 +282,47 @@ class TestExactSdepth:
                 assert result.value_or_bound == d + (n - d) // (d + 1), (n, d)
 
     def test_descends_from_the_largest_k_in_the_limit(self, monkeypatch):
-        # at (9, 1) the upper bound 5 needs 255 members and k = 4 needs 129
-        monkeypatch.setattr(solver, "MAX_MEMBERS", 130)
-        result = exact_sdepth(9, 1, BUDGET)
-        assert (result.status, result.value_or_bound) == ("member-limit", 4)
-        report = verify_certificate(result.certificate)
-        assert report.valid and report.achieved_depth == 4
-        monkeypatch.setattr(solver, "MAX_MEMBERS", 129)
-        assert exact_sdepth(9, 1, BUDGET).value_or_bound == 4
-        monkeypatch.setattr(solver, "MAX_MEMBERS", 255)
+        # at (9, 1) a certificate for the upper bound 5 has at least 255
+        # members, and the proof found has 324; for k = 4, 129 and 186
+        for limit, want in ((130, 3), (185, 3), (186, 4), (323, 4)):
+            monkeypatch.setattr(intervals, "MAX_MEMBERS", limit)
+            result = exact_sdepth(9, 1, BUDGET)
+            assert (result.status, result.value_or_bound) == ("member-limit", want)
+            report = verify_certificate(result.certificate)
+            assert report.valid and report.achieved_depth == want
+        monkeypatch.setattr(intervals, "MAX_MEMBERS", 324)
         assert exact_sdepth(9, 1, BUDGET).status == "proved"
 
+    def test_follows_the_verifiers_limit(self, monkeypatch):
+        # the pre-search bound at (9, 2, 4) is 120 members, the proof has
+        # 168: past the limit is a status after a search, never an error
+        monkeypatch.setattr(intervals, "MAX_MEMBERS", 130)
+        result = certify_at_least(9, 2, 4, BUDGET)
+        assert (result.status, result.certificate) == ("member-limit", None)
+        assert result.nodes_explored > 0
+        for d in range(1, 5):
+            result = exact_sdepth(9, d, BUDGET)
+            assert result.status == "member-limit", d
+            report = verify_certificate(result.certificate)
+            assert report.valid and report.achieved_depth == result.value_or_bound
+
     def test_exhaustion_reported(self):
+        # one node allowance for the whole descent: k = 4 spends it, k = 3
+        # is not searched, and k = 2 places no interval
         result = exact_sdepth(9, 2, SearchBudget(max_nodes=2, wall_time_limit=30.0))
         assert result.status == "budget-exhausted"
+        assert result.nodes_explored <= 3
         # the reported value is still a proved lower bound
         assert result.value_or_bound >= 2
+        assert verify_certificate(result.certificate).valid
+
+    def test_one_deadline_per_call(self):
+        # at (40, 2) k = 14..10 are past the limit and k = 9 spends the
+        # whole budget; nothing is left for k = 8..3
+        t0 = time.monotonic()
+        result = exact_sdepth(40, 2, SearchBudget(wall_time_limit=0.2))
+        assert time.monotonic() - t0 < 1.0
+        assert (result.status, result.value_or_bound) == ("member-limit", 2)
         assert verify_certificate(result.certificate).valid
 
 
@@ -314,13 +339,15 @@ class TestScan:
         with pytest.raises(BadParameters):
             conjecture_scan(0, BUDGET)
 
-    def test_past_member_limit_refused_before_solving(self, monkeypatch):
-        # (29, 1) at its upper bound 15 is past the limit; no cell is solved
-        def solve(*args):
-            raise AssertionError("a cell was solved")
-
-        monkeypatch.setattr(solver, "_scan_case", solve)
+    def test_past_member_limit_refused_per_cell(self, monkeypatch):
+        # at a limit of 130 only the n = 9 cells are past it; each reports
+        # member-limit and a proved lower bound, and the rest are solved
+        monkeypatch.setattr(intervals, "MAX_MEMBERS", 130)
         t0 = time.monotonic()
-        with pytest.raises(BadParameters, match="above the limit"):
-            conjecture_scan(29, BUDGET)
+        rows = conjecture_scan(9, BUDGET)
         assert time.monotonic() - t0 < 1.0
+        assert len(rows) == 45
+        limited = [(row.n, row.d, row.proved) for row in rows if row.status != "proved"]
+        assert limited == [(9, 1, 3), (9, 2, 3), (9, 3, 3), (9, 4, 4)]
+        assert all(row.status == "member-limit" and not row.discrepancy
+                   for row in rows if row.n == 9 and row.d <= 4)
