@@ -165,7 +165,8 @@ _BASE_BUILDERS = {2: construct_c2, 3: construct_c3, 4: construct_c4}
 
 class Step(NamedTuple):
     """A cell of ``plan``: how (m, e) is built, the depth k it claims, and
-    how many members ``verify_certificate`` enumerates for it."""
+    how many members its certificate has, the sum of 2^dim over its
+    intervals that the member limit weighs."""
 
     kind: str  # "full", "trivial", "base" (the paper's c) or "compose"
     c: int
@@ -200,9 +201,9 @@ def construct_general(n: int, d: int) -> Certificate:
     """Certified lower-bound certificate for arbitrary 1 <= d <= n <= 63.
 
     Builds the certificate that ``plan`` lays out; the degree-0 leg of
-    each composition is the full-ring interval.  A plan whose verification
-    would enumerate more members than the verifier holds is refused by
-    ``check_members`` before anything is built.  The result is verified
+    each composition is the full-ring interval.  A plan of more members
+    than the verifier accepts is refused by ``check_members`` before
+    anything is built.  The result is verified
     once, here; a failure is an internal error and raises
     ``AssertionError``.
     """

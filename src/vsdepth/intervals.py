@@ -30,6 +30,7 @@ from .setcore import (
     PointSet,
     interval_members,
     literal_width,
+    mask_bits,
     parse_masks,
     popcount_array,
     size_masks_array,
@@ -54,11 +55,17 @@ _SLICE_BYTES = 1 << 18
 # intervals spelled per slice
 _LINE_HEAD = np.frombuffer(b"interval ", dtype=np.uint8)
 _FORMAT_SLICE = 1 << 14
+# bottom sizes and dimensions run over 0..63
+_RANKS = MAX_UNIVERSE + 1
 
-# The most members ``verify_certificate`` enumerates.  It holds and sorts
-# them in one int64 array, 1 GiB at 2^27 members, and runs every other
-# full-length step a slice at a time, so the array is its working memory:
-# (26, 1), about 2^26 members, builds and verifies at 544 MB peak RSS.
+# The most members, the sum of 2^dim over the intervals, of a certificate
+# that ``verify_certificate`` accepts.  It lists and sorts the members of
+# the intervals narrower than a cube and only counts a cube's, so a valid
+# certificate costs far less: (26, 1) verifies without listing any member
+# of its widest interval, of 2^25.  But a certificate with a gap has its
+# cubes' members at the short rank listed too, all in one int64 array,
+# 1 GiB at 2^27 members; so the limit still weighs every member, and
+# refuses what it refused when the verifier listed them all.
 MAX_MEMBERS = 1 << 27
 
 
@@ -159,6 +166,13 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     PointSet can hold it.  Past the checks that need no enumeration, a
     certificate of more members than the verifier holds is refused by
     ``check_members`` before any member is listed.
+
+    An interval of 2^dim > N members, N the number of intervals, is a
+    cube.  Cubes are tested against all N intervals, which costs less
+    than listing their members; the other intervals' members are listed
+    and sorted, and a duplicate among them is an overlap too.  The
+    reported overlap is the least set two intervals share.  Coverage is
+    counted, not listed: C(dim, t-|b|) sets of rank t per interval.
     """
     n = cert.universe_size
     d = cert.min_generator_size
@@ -186,31 +200,28 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
             False, None, ("top-too-small", PointSet(n, int(tops[idx])))
         )
 
-    dims = np.zeros(n + 1, dtype=np.int64)
-    for part in slices(len(bottoms)):
-        dims += np.bincount(popcount_array(tops[part] & ~bottoms[part]), minlength=n + 1)
-    check_members(sum(int(count) << dim for dim, count in enumerate(dims)),
-                  "the certificate")
-    members = interval_members(bottoms, tops)
+    cut = len(bottoms).bit_length()  # dim >= cut iff 2^dim > N: a cube
+    shapes, cubes = _shapes(bottoms, tops, cut)
+    check_members(sum(g << dim for _, dim, g in shapes), "the certificate")
+
+    members = interval_members(bottoms, tops, below=cut)
     members.sort()
     idx = _first(lambda part: members[part.start + 1:part.stop + 1] == members[part],
                  len(members) - 1)
+    shared = list(_cube_meets(bottoms, tops, cubes))
     if idx is not None:
-        return VerifyReport(
-            False, None, ("overlap", PointSet(n, int(members[idx])))
-        )
+        shared.append(int(members[idx]))
+    if shared:
+        return VerifyReport(False, None, ("overlap", PointSet(n, min(shared))))
 
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for part in slices(len(members)):
-        counts += np.bincount(popcount_array(members[part]), minlength=n + 1)
-    coverage = {t: int(counts[t]) for t in range(d, n + 1)}
+    counts = [0] * (n + 1)
+    for p, dim, g in shapes:
+        for r in range(dim + 1):
+            counts[p + r] += g * math.comb(dim, r)
+    coverage = {t: counts[t] for t in range(d, n + 1)}
     for t in range(d, k):
         if counts[t] != math.comb(n, t):
-            # members[:0] keeps the concatenation defined with no members
-            covered = np.concatenate([members[:0], *(
-                members[part][popcount_array(members[part]) == t]
-                for part in slices(len(members))
-            )])
+            covered = _covered_at(t, counts[t], members, bottoms, tops, cubes)
             missing = _find_missing(n, t, covered)
             return VerifyReport(False, None, ("gap-at-rank", t, missing), coverage)
 
@@ -227,6 +238,78 @@ def _first(test, length: int) -> Optional[int]:
         if hits.any():
             return part.start + int(np.argmax(hits))
     return None
+
+
+def _shapes(bottoms: np.ndarray, tops: np.ndarray, cut: int):
+    """``(|b|, dim, g)`` for each g > 0 intervals [b, t] of that bottom
+    size and dimension, and the indices of the cubes, the intervals of
+    dimension >= ``cut``, from one sliced pass.  A function of its own,
+    so that no slice array outlives the pass into the verifier's peak."""
+    shapes = np.zeros((_RANKS, _RANKS), dtype=np.int64)
+    cubes = [np.empty(0, dtype=np.intp)]
+    for part in slices(len(bottoms)):
+        dims = popcount_array(tops[part] & ~bottoms[part])
+        shapes += np.bincount(
+            popcount_array(bottoms[part]).astype(np.intp) * _RANKS + dims,
+            minlength=_RANKS * _RANKS,
+        ).reshape(_RANKS, _RANKS)
+        cubes.append(np.flatnonzero(dims >= cut) + part.start)
+    counts = [(int(p), int(dim), int(shapes[p, dim]))
+              for p, dim in zip(*np.nonzero(shapes))]
+    return counts, np.concatenate(cubes)
+
+
+def _cube_meets(bottoms: np.ndarray, tops: np.ndarray, cubes: np.ndarray):
+    """For each block of pairs in which a cube, one of the intervals at
+    index ``cubes``, meets another interval, the least member such a pair
+    shares.
+
+    [b1, t1] and [b2, t2] share exactly the sets of [b1|b2, t1&t2], so
+    they meet iff b1|b2 lies in t1&t2, and b1|b2 is their least shared
+    member.  Each block pairs a slice of cubes with a slice of intervals
+    and holds O(_SLICE) pairs."""
+    for block in slices(len(cubes), weight=len(bottoms)):
+        chosen = cubes[block, None]
+        cube_bottoms, cube_tops = bottoms[chosen], tops[chosen]
+        for part in slices(len(bottoms)):
+            union = cube_bottoms | bottoms[part]
+            outside = cube_tops & tops[part]
+            np.invert(outside, out=outside)
+            outside &= union
+            meet = outside == 0
+            meet &= chosen != np.arange(part.start, part.stop)
+            if meet.any():
+                yield int(union[meet].min())
+
+
+def _covered_at(t: int, size: int, members: np.ndarray, bottoms: np.ndarray,
+                tops: np.ndarray, cubes: np.ndarray) -> np.ndarray:
+    """The ``size`` t-sets that the disjoint intervals cover, ascending:
+    those among the sorted listed ``members``, and the t-sets of each
+    cube, each spelled as a t-|b|-subset of the cube's free bits."""
+    covered = np.empty(size, dtype=np.int64)
+    done = 0
+    for part in slices(len(members)):
+        at = members[part][popcount_array(members[part]) == t]
+        covered[done:done + len(at)] = at
+        done += len(at)
+    listed = done
+    for i in cubes.tolist():
+        bottom = int(bottoms[i])
+        free = int(tops[i]) & ~bottom
+        dim, r = free.bit_count(), t - bottom.bit_count()
+        if not 0 <= r <= dim:
+            continue
+        picks = size_masks_array(dim, r)
+        out = covered[done:done + len(picks)]
+        out[:] = bottom
+        positions = [p for p in range(free.bit_length()) if free >> p & 1]
+        for j, bits in mask_bits(picks, range(dim)):
+            np.bitwise_or(out, 1 << positions[j], out=out, where=bits.view(bool))
+        done += len(picks)
+    if done > listed:
+        covered.sort()
+    return covered
 
 
 def _find_missing(n: int, t: int, covered: np.ndarray) -> PointSet:

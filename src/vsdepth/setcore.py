@@ -246,16 +246,20 @@ def popcount_array(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.asarray(masks, dtype=np.int64).view(np.uint64))
 
 
-def slices(length: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``_SLICE`` items that cover
-    ``range(length)``, so that a full-length step run slice by slice
+def slices(length: int, weight: int = 1) -> Iterator[slice]:
+    """Consecutive slices of at most ``_SLICE // weight`` items, and at
+    least one, that cover ``range(length)``, so that a full-length step
+    run slice by slice, over items that each span ``weight`` values,
     needs only O(_SLICE) temporaries."""
-    step = _SLICE
+    step = max(1, _SLICE // max(weight, 1))
     return (slice(i, min(i + step, length)) for i in range(0, length, step))
 
 
-def interval_members(bottoms: np.ndarray, tops: np.ndarray) -> np.ndarray:
-    """Every member of every interval [bottom, top], with multiplicity.
+def interval_members(
+    bottoms: np.ndarray, tops: np.ndarray, below: int = MAX_UNIVERSE + 1
+) -> np.ndarray:
+    """Every member of every interval [bottom, top] of dimension below
+    ``below``, with multiplicity.
 
     Intervals are grouped by dimension; each group of G intervals of
     dimension k fills a (2**k, G) block of one preallocated output by
@@ -268,7 +272,7 @@ def interval_members(bottoms: np.ndarray, tops: np.ndarray) -> np.ndarray:
     dims = np.empty(len(bottoms), dtype=np.uint8)
     for part in slices(len(bottoms)):
         dims[part] = popcount_array(tops[part] & ~bottoms[part])
-    counts = np.bincount(dims)
+    counts = np.bincount(dims)[:below]
     out = np.empty(sum(int(g) << k for k, g in enumerate(counts)), dtype=np.int64)
     blocks = {}
     start = 0
@@ -280,7 +284,7 @@ def interval_members(bottoms: np.ndarray, tops: np.ndarray) -> np.ndarray:
     for part in slices(len(bottoms)):
         free = tops[part] & ~bottoms[part]
         part_dims = dims[part]
-        for k in np.flatnonzero(np.bincount(part_dims)).tolist():
+        for k in np.flatnonzero(np.bincount(part_dims)[:below]).tolist():
             sel = part_dims == k
             rest = free[sel]
             col = filled[k]

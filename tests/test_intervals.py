@@ -365,6 +365,97 @@ class TestSlicedAgainstReference:
         assert peak <= 1.25 * 8 * members
 
 
+@st.composite
+def mixed_certificates(draw):
+    """A random certificate over [n], n <= 10 and d <= 2, where cubes
+    are common, that mixes cubes with narrow intervals: the intervals of
+    ``construct_general``, or a random interval partition of the sets of
+    size >= d, built as ``compose_plus1`` builds one, with each degree-0
+    part kept as its one cube or, one time in four, split on its top
+    point; then some intervals, the widest more often, dropped,
+    duplicated, or joined by an interval inside them."""
+    n = draw(st.integers(2, 10))
+    d = draw(st.integers(1, 2))
+
+    def partition(m, e):
+        if e > m:
+            return []
+        if m == 0 or e <= 0 and draw(st.integers(0, 3)):
+            return [(0, (1 << m) - 1)]
+        bit = 1 << (m - 1)
+        return partition(m - 1, e) + [
+            (b | bit, t | bit) for b, t in partition(m - 1, e - 1)
+        ]
+
+    general = draw(st.booleans())
+    if general:
+        cert = construct_general(n, d)
+        intervals = list(zip(cert.bottom_masks.tolist(), cert.top_masks.tolist()))
+    else:
+        intervals = partition(n, d)
+    for kind, i, extra in draw(st.lists(st.tuples(
+        st.sampled_from(["drop", "duplicate", "inside"]),
+        st.integers(0, 3) | st.integers(0, 1 << 10),
+        st.integers(0, 1 << 20),
+    ), max_size=3)):
+        if not intervals:
+            break
+        widest_first = sorted(intervals, key=lambda bt: (bt[0] ^ bt[1]).bit_count(),
+                              reverse=True)
+        b, t = widest_first[i % len(intervals)]
+        if kind == "drop":
+            intervals.remove((b, t))
+        elif kind == "duplicate":
+            intervals.append((b, t))
+        else:
+            inner = b | extra & t
+            intervals.append((inner, inner | extra >> 10 & t))
+    if general:
+        k = cert.claimed_depth
+    else:
+        k = draw(st.integers(d, max(d, min((t.bit_count() for _, t in intervals),
+                                           default=n))))
+    return Certificate.from_arrays(
+        n, d, k, [b for b, _ in intervals], [t for _, t in intervals]
+    )
+
+
+class TestCubesAgainstReference:
+    """Intervals of more members than the certificate has intervals are
+    cubes: the verifier tests them against every interval and counts
+    their coverage instead of listing their members."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(cert=mixed_certificates())
+    def test_reports_identical(self, cert):
+        assert verify_certificate(cert) == verify_reference(cert)
+
+    @pytest.mark.parametrize("narrow, witness", [
+        ([0b000001, 0b000001], 0b000001),  # {1} twice, below the cube's {2,3}
+        ([0b010000, 0b010000], 0b000110),  # {5} twice, above it
+    ])
+    def test_overlap_witness_is_the_least_of_both_kinds(self, narrow, witness):
+        # the 4-cube [{2}, {2..6}] meets the narrow [{2,3}, {2,3}], and two
+        # narrow intervals meet each other; the least shared set is reported
+        bottoms = [0b000010, 0b000110, *narrow]
+        tops = [0b111110, 0b000110, *narrow]
+        cert = Certificate.from_arrays(6, 1, 1, bottoms, tops)
+        report = verify_certificate(cert)
+        assert report == verify_reference(cert)
+        assert report.first_violation == ("overlap", PointSet(6, witness))
+
+    def test_general_construction_is_not_enumerated(self):
+        # (26, 1) has 40 intervals and about 2^26 members, 512 MiB as int64
+        tracemalloc.start()
+        try:
+            cert = construct_general(26, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.num_explicit == 40 and plan(26, 1).members > 1 << 25
+        assert peak < 8 << 20
+
+
 class TestRender:
     def test_summand_forms(self):
         cert = construct_c3(1)
