@@ -1,8 +1,9 @@
 """Command-line frontend; ``python -m vsdepth`` runs it too.
 
 Exit codes: 0 success / valid / proved; 1 invalid certificate, disproved
-claim or scan discrepancy; 2 usage error (bad arguments, parameters out
-of range, a malformed or unreadable file); 3 internal error (any other
+claim or scan discrepancy, and for ``sdepth`` also ``budget-exhausted``
+and ``member-limit``; 2 usage error (bad arguments, parameters out of
+range, a malformed or unreadable file); 3 internal error (any other
 exception, whose traceback goes to stderr).  All output is deterministic.
 """
 from __future__ import annotations

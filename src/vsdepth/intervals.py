@@ -30,10 +30,8 @@ from .setcore import (
     PointSet,
     interval_members,
     literal_width,
-    mask_bits,
     parse_masks,
     popcount_array,
-    size_masks_array,
     slices,
     write_literals,
 )
@@ -59,13 +57,12 @@ _FORMAT_SLICE = 1 << 14
 _RANKS = MAX_UNIVERSE + 1
 
 # The most members, the sum of 2^dim over the intervals, of a certificate
-# that ``verify_certificate`` accepts.  It lists and sorts the members of
-# the intervals narrower than a cube and only counts a cube's, so a valid
+# that ``verify_certificate`` accepts.  It lists and sorts only the
+# members of the intervals narrower than a cube, to find overlaps; a
+# cube's members, the coverage and a gap's witness are counted, so a
 # certificate costs far less: (26, 1) verifies without listing any member
-# of its widest interval, of 2^25.  But a certificate with a gap has its
-# cubes' members at the short rank listed too, all in one int64 array,
-# 1 GiB at 2^27 members; so the limit still weighs every member, and
-# refuses what it refused when the verifier listed them all.
+# of its widest interval, of 2^25.  The limit still weighs every member,
+# so that it refuses what it refused when the verifier listed them all.
 MAX_MEMBERS = 1 << 27
 
 
@@ -172,7 +169,9 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     than listing their members; the other intervals' members are listed
     and sorted, and a duplicate among them is an overlap too.  The
     reported overlap is the least set two intervals share.  Coverage is
-    counted, not listed: C(dim, t-|b|) sets of rank t per interval.
+    counted, not listed: C(dim, t-|b|) sets of rank t per interval; the
+    least set missing from a short rank is found by the same count
+    (``_least_missing``), so no member is listed past the overlap scan.
     """
     n = cert.universe_size
     d = cert.min_generator_size
@@ -211,18 +210,14 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     shared = list(_cube_meets(bottoms, tops, cubes))
     if idx is not None:
         shared.append(int(members[idx]))
+    del members
     if shared:
         return VerifyReport(False, None, ("overlap", PointSet(n, min(shared))))
 
-    counts = [0] * (n + 1)
-    for p, dim, g in shapes:
-        for r in range(dim + 1):
-            counts[p + r] += g * math.comb(dim, r)
-    coverage = {t: counts[t] for t in range(d, n + 1)}
+    coverage = {t: _covered(shapes, t) for t in range(d, n + 1)}
     for t in range(d, k):
-        if counts[t] != math.comb(n, t):
-            covered = _covered_at(t, counts[t], members, bottoms, tops, cubes)
-            missing = _find_missing(n, t, covered)
+        if coverage[t] != math.comb(n, t):
+            missing = PointSet(n, _least_missing(n, t, bottoms, tops))
             return VerifyReport(False, None, ("gap-at-rank", t, missing), coverage)
 
     return VerifyReport(True, k, None, coverage)
@@ -240,23 +235,69 @@ def _first(test, length: int) -> Optional[int]:
     return None
 
 
-def _shapes(bottoms: np.ndarray, tops: np.ndarray, cut: int):
+def _shapes(bottoms: np.ndarray, tops: np.ndarray, cut: int = _RANKS,
+            m: int = MAX_UNIVERSE, high: int = 0):
     """``(|b|, dim, g)`` for each g > 0 intervals [b, t] of that bottom
     size and dimension, and the indices of the cubes, the intervals of
-    dimension >= ``cut``, from one sliced pass.  A function of its own,
-    so that no slice array outlives the pass into the verifier's peak."""
+    dimension >= ``cut`` (none by default), from one sliced pass.  For
+    m < 63 it counts only the intervals whose bottom's points above m lie
+    in ``high``, each cut to [m].  A function of its own, so that no
+    slice array outlives the pass into the verifier's peak."""
+    low = (1 << m) - 1
     shapes = np.zeros((_RANKS, _RANKS), dtype=np.int64)
     cubes = [np.empty(0, dtype=np.intp)]
     for part in slices(len(bottoms)):
-        dims = popcount_array(tops[part] & ~bottoms[part])
+        part_bottoms, part_tops = bottoms[part], tops[part]
+        if m < MAX_UNIVERSE:
+            kept = (part_bottoms & ~high) >> m == 0
+            part_bottoms, part_tops = part_bottoms[kept] & low, part_tops[kept] & low
+        dims = popcount_array(part_tops & ~part_bottoms)
         shapes += np.bincount(
-            popcount_array(bottoms[part]).astype(np.intp) * _RANKS + dims,
+            popcount_array(part_bottoms).astype(np.intp) * _RANKS + dims,
             minlength=_RANKS * _RANKS,
         ).reshape(_RANKS, _RANKS)
         cubes.append(np.flatnonzero(dims >= cut) + part.start)
     counts = [(int(p), int(dim), int(shapes[p, dim]))
               for p, dim in zip(*np.nonzero(shapes))]
     return counts, np.concatenate(cubes)
+
+
+def _covered(shapes, t: int) -> int:
+    """The number of t-sets in disjoint intervals of the ``shapes`` of
+    ``_shapes``: C(dim, t-|b|) per interval."""
+    return sum(g * math.comb(dim, t - p) for p, dim, g in shapes if p <= t)
+
+
+def _least_missing(n: int, t: int, bottoms: np.ndarray, tops: np.ndarray) -> int:
+    """The least t-set of [n] in colex order, as a mask, that none of the
+    intervals covers; they must be disjoint, lie in [n] and miss a t-set,
+    so that every count below is exact.
+
+    The descent fixes the missing set's points from the highest down.
+    With its points above m fixed as ``high`` and j points left, the sets
+    high | R, R a j-subset of [m], come first in colex order among the
+    t-sets whose points above m are ``high``, so the number of them that
+    no interval covers never falls as m grows: the next point down is the
+    least m at which it is positive, found by binary search.  It is
+    C(m, j) less ``_covered`` of the intervals cut to [m] whose top holds
+    ``high`` and whose bottom's points above m lie in it; the others are
+    dropped as each point is fixed.
+    """
+    high, hi = 0, n
+    for j in range(t, 0, -1):
+        lo = j
+        while lo < hi:
+            m = (lo + hi) // 2
+            shapes, _ = _shapes(bottoms, tops, m=m, high=high)
+            if _covered(shapes, j) < math.comb(m, j):
+                hi = m
+            else:
+                lo = m + 1
+        high |= 1 << hi - 1
+        hi -= 1
+        kept = (high & ~tops == 0) & ((bottoms & ~high) >> hi == 0)
+        bottoms, tops = bottoms[kept], tops[kept]
+    return high
 
 
 def _cube_meets(bottoms: np.ndarray, tops: np.ndarray, cubes: np.ndarray):
@@ -280,49 +321,6 @@ def _cube_meets(bottoms: np.ndarray, tops: np.ndarray, cubes: np.ndarray):
             meet &= chosen != np.arange(part.start, part.stop)
             if meet.any():
                 yield int(union[meet].min())
-
-
-def _covered_at(t: int, size: int, members: np.ndarray, bottoms: np.ndarray,
-                tops: np.ndarray, cubes: np.ndarray) -> np.ndarray:
-    """The ``size`` t-sets that the disjoint intervals cover, ascending:
-    those among the sorted listed ``members``, and the t-sets of each
-    cube, each spelled as a t-|b|-subset of the cube's free bits."""
-    covered = np.empty(size, dtype=np.int64)
-    done = 0
-    for part in slices(len(members)):
-        at = members[part][popcount_array(members[part]) == t]
-        covered[done:done + len(at)] = at
-        done += len(at)
-    listed = done
-    for i in cubes.tolist():
-        bottom = int(bottoms[i])
-        free = int(tops[i]) & ~bottom
-        dim, r = free.bit_count(), t - bottom.bit_count()
-        if not 0 <= r <= dim:
-            continue
-        picks = size_masks_array(dim, r)
-        out = covered[done:done + len(picks)]
-        out[:] = bottom
-        positions = [p for p in range(free.bit_length()) if free >> p & 1]
-        for j, bits in mask_bits(picks, range(dim)):
-            np.bitwise_or(out, 1 << positions[j], out=out, where=bits.view(bool))
-        done += len(picks)
-    if done > listed:
-        covered.sort()
-    return covered
-
-
-def _find_missing(n: int, t: int, covered: np.ndarray) -> PointSet:
-    """The least t-set of [n] missing from ``covered``, which must be a
-    sorted, distinct, proper subsequence of the colex t-sets: the first
-    place where the two differ, else the t-set just past ``covered``.
-    The first C(m, t) colex t-sets of [n] are the t-subsets of [m], so
-    only those of the least m with C(m, t) > len(covered) are built."""
-    m = next(m for m in range(max(t, 1), n + 1) if math.comb(m, t) > len(covered))
-    prefix = size_masks_array(m, t)
-    differ = np.flatnonzero(prefix[: len(covered)] != covered)
-    first = int(differ[0]) if len(differ) else len(covered)
-    return PointSet(n, int(prefix[first]))
 
 
 def _monomial(mask: int, n: int) -> str:

@@ -31,7 +31,6 @@ from vsdepth.intervals import (
     MAX_MEMBERS,
     Certificate,
     VerifyReport,
-    _find_missing,
 )
 from vsdepth.setcore import MAX_UNIVERSE, PointSet, popcount_array, size_masks_array
 
@@ -477,6 +476,19 @@ def interval_members_reference(bottoms: np.ndarray, tops: np.ndarray) -> np.ndar
             np.bitwise_or(block[: 1 << j], low, out=block[1 << j: 2 << j])
         start += block.size
     return out
+
+
+def _find_missing(n: int, t: int, covered: np.ndarray) -> PointSet:
+    """The least t-set of [n] missing from ``covered``, which must be a
+    sorted, distinct, proper subsequence of the colex t-sets: the first
+    place where the two differ, else the t-set just past ``covered``.
+    The first C(m, t) colex t-sets of [n] are the t-subsets of [m], so
+    only those of the least m with C(m, t) > len(covered) are built."""
+    m = next(m for m in range(max(t, 1), n + 1) if math.comb(m, t) > len(covered))
+    prefix = size_masks_array(m, t)
+    differ = np.flatnonzero(prefix[: len(covered)] != covered)
+    first = int(differ[0]) if len(differ) else len(covered)
+    return PointSet(n, int(prefix[first]))
 
 
 def verify_reference(cert: Certificate) -> VerifyReport:

@@ -1,15 +1,12 @@
 """Acceptance gate: one test per criterion, one printed pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines as they complete.  Criterion 4 has an opt-in extended run at n = 10,
-enabled with VSDEPTH_EXTENDED=1.
+lines as they complete.
 """
 import math
-import os
 import time
 
 import numpy as np
-import pytest
 
 from vsdepth.blocks import Density, block_structure
 from vsdepth.construct import (
@@ -83,20 +80,9 @@ def _exact_agrees_up_to(max_n: int) -> bool:
 
 def test_criterion_4_exact_values():
     t0 = time.time()
-    ok = _exact_agrees_up_to(9)
-    elapsed = time.time() - t0
-    _report(4, "exact values match d + (n-d)//(d+1) for n <= 9", ok, elapsed)
-
-
-@pytest.mark.skipif(
-    os.environ.get("VSDEPTH_EXTENDED") != "1",
-    reason="extended run; set VSDEPTH_EXTENDED=1",
-)
-def test_criterion_4_extended_n10():
-    t0 = time.time()
     ok = _exact_agrees_up_to(10)
     elapsed = time.time() - t0
-    _report(4, "extended exact values for n <= 10", ok, elapsed)
+    _report(4, "exact values match d + (n-d)//(d+1) for n <= 10", ok, elapsed)
 
 
 def test_criterion_5_bounds():

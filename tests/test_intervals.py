@@ -204,36 +204,52 @@ class TestVerify:
         tag, rank, witness = verify_certificate(cert).first_violation
         assert (tag, rank, witness.mask) == gap_witness_reference(cert)
 
-    @pytest.mark.parametrize("one_interval", [True, False])
-    def test_rank_gap_witness_builds_a_colex_prefix(self, one_interval, monkeypatch):
-        # rank 20 of [40] has C(40, 20) ~ 1.4e11 sets; the least missing
-        # one lies among the 20-subsets of [21]
-        built = []
+    @staticmethod
+    def edges_at_63(dropped=()):
+        """(63, 1, 2) with the cube [{1}, {1..20}] and the edges
+        [{i}, {i,i+1}], i = 2..62, less those at ``dropped``."""
+        edges = [i for i in range(2, 63) if i not in dropped]
+        bottoms = [1] + [1 << i - 1 for i in edges]
+        tops = [(1 << 20) - 1] + [3 << i - 1 for i in edges]
+        return Certificate.from_arrays(63, 1, 2, bottoms, tops)
 
-        def recording(m, t):
-            built.append(math.comb(m, t))
-            return setcore.size_masks_array(m, t)
-
-        monkeypatch.setattr(intervals, "size_masks_array", recording)
-        report = verify_certificate(self.rank_gap_cert(40, 20, one_interval))
-        assert report.first_violation[:2] == ("gap-at-rank", 20)
-        assert built and max(built) <= 21
+    @pytest.mark.parametrize("cert, rank, witness", [
+        # rank 20 of [40] has C(40, 20) ~ 1.4e11 sets, too many to list;
+        # [{1..20}, {1..21}] covers {1..20}, and {1..19,21} comes next
+        (rank_gap_cert(40, 20, False), 20, tuple(range(1, 21))),
+        (rank_gap_cert(40, 20, True), 20, tuple(range(1, 20)) + (21,)),
+        # C(63, 31) ~ 9.2e17 sets at the short rank, counted exactly
+        (Certificate.from_arrays(63, 62, 63, [], []), 62, tuple(range(1, 63))),
+        (Certificate.from_arrays(63, 31, 32, [], []), 31, tuple(range(1, 32))),
+        (edges_at_63(), 1, (63,)),
+        (edges_at_63(dropped=(40,)), 1, (40,)),
+    ])
+    def test_rank_gap_witness_of_a_wide_rank(self, cert, rank, witness):
+        tag, got_rank, missing = verify_certificate(cert).first_violation
+        assert (tag, got_rank, missing.members()) == ("gap-at-rank", rank, witness)
 
     @settings(max_examples=40, deadline=None)
     @given(
         base=st.sampled_from(
-            [(construct_c2, d) for d in range(1, 5)]
-            + [(construct_c3, d) for d in range(1, 4)]
-            + [(construct_c4, d) for d in range(1, 3)]
+            [(construct_c2, d, False) for d in range(1, 5)]
+            + [(construct_c3, d, False) for d in range(1, 4)]
+            + [(construct_c4, d, False) for d in range(1, 3)]
+            + [(functools.partial(construct_general, n), d, True)
+               for n, d in [(9, 1), (10, 2), (14, 2)]]
         ),
         data=st.data(),
     )
     def test_dropped_intervals_gap_witness(self, base, data):
-        # the least missing set is the one a plain set difference finds
-        builder, d = base
+        # the least missing set is the one a plain set difference finds,
+        # through composed certificates' cubes (2^dim > N members) too
+        builder, d, composed = base
         cert = builder(d)
+        dims = setcore.popcount_array(cert.top_masks & ~cert.bottom_masks)
+        assert bool(np.any(dims >= cert.num_explicit.bit_length())) == composed
+        # only intervals with a set below rank k leave a gap when dropped
+        low = setcore.popcount_array(cert.bottom_masks) < cert.claimed_depth
         drop = data.draw(st.sets(
-            st.integers(0, cert.num_explicit - 1), min_size=1, max_size=3
+            st.sampled_from(np.flatnonzero(low).tolist()), min_size=1, max_size=3
         ))
         drop = sorted(drop)
         mutant = Certificate.from_arrays(
