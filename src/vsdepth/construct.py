@@ -1,8 +1,13 @@
 """Constructive interval partitions for the degree-d squarefree ideal.
 
 For n = cd+c-1 the intervals [A, f_c(A)] over all d-sets A are pairwise
-disjoint (c-1)-cubes that tile rank d+1 exactly; c=3 needs nothing more,
-c=2 and c=4 additionally match leftover sets into leftover supersets.
+disjoint (c-1)-cubes that tile rank d+1 exactly.  c=3 is these cubes
+alone; c=4 adds an edge from each (d+2)-set they leave to an uncovered
+superset.  c=2 uses no f_2 interval: it matches every d-set into a
+(d+1)-superset by the parenthesis rule.  The f_2 cubes alone would also
+certify depth d+1, but they are other intervals, so switching would
+change every certificate that c=2 emits.
+
 The general builder reaches arbitrary (n, d) by lifting a pair of
 certificates over [n] into one over [n+1] (the plus-one composition) down
 to the base constructions.
@@ -19,35 +24,7 @@ import numpy as np
 from .blocks import f_int_masks, recurrence_signs
 from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismatch
 from .intervals import Certificate, check_cell, check_members, verify_certificate
-from .setcore import (
-    interval_members,
-    popcount_array,
-    size_masks_array,
-    sorted_unique,
-)
-
-
-def _veronese_arrays(n: int, d: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    bottoms = size_masks_array(n, d)
-    tops = f_int_masks(n, c, bottoms)
-    return bottoms, tops
-
-
-def _uncovered_masks(
-    n: int, bottoms: np.ndarray, tops: np.ndarray, ranks
-) -> list[np.ndarray]:
-    """Per rank t in ``ranks``, the t-sets that no interval [bottom, top]
-    covers, in colex order: every t-set of [n] whose place in the colex
-    array is not marked by a covered one."""
-    members = interval_members(bottoms, tops)
-    sizes = popcount_array(members)
-    uncovered = []
-    for t in ranks:
-        every = size_masks_array(n, t)
-        covered = np.ones(len(every), dtype=bool)
-        covered[np.searchsorted(every, sorted_unique(members[sizes == t]))] = False
-        uncovered.append(every[covered])
-    return uncovered
+from .setcore import size_masks_array, sorted_unique
 
 
 def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
@@ -89,28 +66,39 @@ def construct_c3(d: int) -> Certificate:
     """Depth d+2 certificate for n = 3d+2: exactly the f_3 intervals."""
     n = 3 * d + 2
     check_cell(n, d)
-    bottoms, tops = _veronese_arrays(n, d, 3)
+    bottoms = size_masks_array(n, d)
+    tops = f_int_masks(n, 3, bottoms)
     return Certificate.from_arrays(n, d, d + 2, bottoms, tops)
 
 
 def construct_c4(d: int) -> Certificate:
     """Depth d+3 certificate for n = 4d+3.
 
-    The f_4 intervals tile ranks d and d+1; the uncovered (d+2)-sets are
-    matched injectively into uncovered (d+3)-supersets (every superset of
-    an uncovered set is uncovered, so the parenthesis successor lands in
-    the target side) and the leftovers fall to the trivial completion.
+    The f_4 intervals are 3-cubes that tile rank d+1.  A cube's
+    (d+2)-sets are its top less one of its three free bits and its only
+    (d+3)-set is its top, so the (d+2)-sets that no cube covers are read
+    off the tops.  They are matched injectively by the parenthesis rule
+    into (d+3)-supersets that are no top (every superset of an uncovered
+    set is uncovered), and the leftovers fall to the trivial completion.
     """
     n = 4 * d + 3
     check_cell(n, d)
-    bottoms, tops = _veronese_arrays(n, d, 4)
-    v1, v2 = _uncovered_masks(n, bottoms, tops, (d + 2, d + 3))
+    bottoms = size_masks_array(n, d)
+    tops = f_int_masks(n, 4, bottoms)
+    v1 = size_masks_array(n, d + 2)
+    uncovered = np.ones(len(v1), dtype=bool)
+    free = tops & ~bottoms
+    for _ in range(3):
+        low = free & -free
+        free ^= low
+        uncovered[np.searchsorted(v1, tops ^ low)] = False
+    v1 = v1[uncovered]
     matched = v1 | (np.int64(1) << chain_successor_bits(v1, n).astype(np.int64))
     if len(sorted_unique(matched)) != len(v1):
         raise MatchingFailed("successor rule failed to be injective on V1")
-    hits = np.searchsorted(v2, matched)
-    ok = (hits < len(v2)) & (v2[np.minimum(hits, len(v2) - 1)] == matched)
-    if not bool(np.all(ok)):
+    sorted_tops = np.sort(tops)
+    hits = np.searchsorted(sorted_tops, matched)
+    if bool(np.any(sorted_tops[np.minimum(hits, len(sorted_tops) - 1)] == matched)):
         raise MatchingFailed(
             "a matched superset was covered; this contradicts the "
             "uncovered-superset lemma"

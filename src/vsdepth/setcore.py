@@ -179,11 +179,11 @@ def size_masks_array(n: int, t: int) -> np.ndarray:
     """All t-subset masks of [n] as an int64 array, colex order.
 
     Built level-by-level: the first C(m,t) entries of the level-t array
-    are exactly the t-subsets of [m], so each level is a concatenation of
-    prefixes of the previous one shifted by a new top bit.  Above t = n/2
-    the levels would pass through C(n, n/2) entries, so the t-subsets are
-    built as the complements of the (n-t)-subsets, whose reverse order is
-    again colex.
+    are exactly the t-subsets of [m], so each level is filled, in one
+    array, with prefixes of the previous one shifted by a new top bit.
+    Above t = n/2 the levels would pass through C(n, n/2) entries, so the
+    t-subsets are built as the complements of the (n-t)-subsets, whose
+    reverse order is again colex.
     """
     _check_universe(n)
     if not 0 <= t <= n:
@@ -192,11 +192,13 @@ def size_masks_array(n: int, t: int) -> np.ndarray:
         return np.int64((1 << n) - 1) ^ size_masks_array(n, n - t)[::-1]
     level = np.zeros(1, dtype=np.int64)  # the single 0-subset
     for size in range(1, t + 1):
-        parts = [
-            level[: math.comb(m - 1, size - 1)] | np.int64(1 << (m - 1))
-            for m in range(size, n + 1)
-        ]
-        level = np.concatenate(parts)
+        out = np.empty(math.comb(n, size), dtype=np.int64)
+        start = 0
+        for m in range(size, n + 1):
+            prefix = level[: math.comb(m - 1, size - 1)]
+            np.bitwise_or(prefix, np.int64(1 << (m - 1)), out=out[start:start + len(prefix)])
+            start += len(prefix)
+        level = out
     return level
 
 

@@ -478,6 +478,15 @@ def interval_members_reference(bottoms: np.ndarray, tops: np.ndarray) -> np.ndar
     return out
 
 
+def uncovered_reference(n: int, d: int, c: int, t: int) -> np.ndarray:
+    """The t-sets of [n] in no interval [A, f_c(A)] over the d-sets A,
+    colex order: the set difference of all t-sets and the members that
+    ``interval_members_reference`` lists."""
+    bottoms = size_masks_array(n, d)
+    members = interval_members_reference(bottoms, f_int_masks(n, c, bottoms))
+    return np.setdiff1d(size_masks_array(n, t), members[popcount_array(members) == t])
+
+
 def _find_missing(n: int, t: int, covered: np.ndarray) -> PointSet:
     """The least t-set of [n] missing from ``covered``, which must be a
     sorted, distinct, proper subsequence of the colex t-sets: the first

@@ -20,7 +20,7 @@ from vsdepth.intervals import verify_certificate
 from vsdepth.setcore import PointSet, size_masks_array
 from vsdepth.solver import SearchBudget, certify_at_least, exact_sdepth
 
-from oracles import all_block_structures
+from oracles import all_block_structures, uncovered_reference
 
 
 def _report(num: int, label: str, ok: bool, elapsed: float) -> None:
@@ -158,18 +158,11 @@ def _intervals_disjoint(n: int, d: int, c: int) -> bool:
     return len(np.unique(allm)) == len(allm)
 
 
-def _uncovered_by_rank(n: int, d: int, c: int) -> dict[int, np.ndarray]:
-    from vsdepth.construct import _uncovered_masks, _veronese_arrays
-
-    ranks = range(d + 1, d + c)
-    return dict(zip(ranks, _uncovered_masks(n, *_veronese_arrays(n, d, c), ranks)))
-
-
 def _uncovered_closed_upward(n: int, d: int, c: int) -> bool:
     # a set has a covered superset iff it is below some top, and then the
     # one-bit extensions chain up to that top; so upward closure of the
     # uncovered family rank by rank is exactly "no covered superset"
-    unc = _uncovered_by_rank(n, d, c)
+    unc = {t: uncovered_reference(n, d, c, t) for t in range(d + 1, d + c)}
     for t in range(d + 1, d + c - 1):
         cur, nxt = unc[t], unc[t + 1]
         for bit in range(n):

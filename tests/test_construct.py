@@ -8,10 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vsdepth import construct, intervals
-from vsdepth.blocks import Density, f_delta
+from vsdepth.blocks import Density, f_delta, f_int_masks
 from vsdepth.construct import (
-    _uncovered_masks,
-    _veronese_arrays,
     bounds,
     chain_successor_bits,
     compose_plus1,
@@ -26,13 +24,16 @@ from vsdepth.errors import BadParameters, DepthMismatch, MatchingFailed
 from vsdepth.intervals import Certificate, verify_certificate
 from vsdepth.setcore import (
     format_masks,
-    interval_members,
     make_set,
     popcount_array,
     size_masks_array,
 )
 
-from oracles import chain_successor_bits_reference, has_covered_superset
+from oracles import (
+    chain_successor_bits_reference,
+    has_covered_superset,
+    uncovered_reference,
+)
 
 
 @st.composite
@@ -45,14 +46,15 @@ def masks_over_n(draw):
     return n, draw(st.lists(st.one_of(word, sparse), max_size=40))
 
 
+def veronese_arrays(n, d, c):
+    """The intervals [A, f_c(A)] as bottom and top arrays, colex order of A."""
+    bottoms = size_masks_array(n, d)
+    return bottoms, f_int_masks(n, c, bottoms)
+
+
 def veronese_literals(n, d, c):
     """The intervals [A, f_c(A)] as literal pairs, colex order of A."""
-    return list(zip(*map(format_masks, _veronese_arrays(n, d, c))))
-
-
-def uncovered(n, d, c, t):
-    """The t-sets covered by no interval [A, f_c(A)]."""
-    return _uncovered_masks(n, *_veronese_arrays(n, d, c), [t])[0]
+    return list(zip(*map(format_masks, veronese_arrays(n, d, c))))
 
 
 class TestVeroneseIntervals:
@@ -73,7 +75,7 @@ class TestVeroneseIntervals:
         got = veronese_literals(7, 1, 4)
         assert got[0][1] == "{1,5,6,7}"
         assert got[2][1] == "{1,2,3,7}"
-        assert np.all(popcount_array(_veronese_arrays(7, 1, 4)[1]) == 4)
+        assert np.all(popcount_array(veronese_arrays(7, 1, 4)[1]) == 4)
 
     def test_counting_identity(self):
         # (c-1) C(n,d) = C(n,d+1) whenever n = cd+c-1
@@ -88,7 +90,7 @@ class TestVeroneseIntervals:
         # each (d+1)-set inside exactly one interval
         for c, d in ((2, 2), (3, 2), (4, 2)):
             n = c * d + c - 1
-            bottoms, tops = _veronese_arrays(n, d, c)
+            bottoms, tops = veronese_arrays(n, d, c)
             hits = {}
             for bottom, top in zip(bottoms.tolist(), tops.tolist()):
                 free = top & ~bottom
@@ -99,37 +101,46 @@ class TestVeroneseIntervals:
             assert len(hits) == math.comb(n, d + 1)
             assert set(hits.values()) == {1}
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_f2_cubes_alone_certify(self, d):
+        # construct_c2 matches by the parenthesis rule instead, so its
+        # certificates are other intervals
+        n = 2 * d + 1
+        cert = Certificate.from_arrays(n, d, d + 1, *veronese_arrays(n, d, 2))
+        report = verify_certificate(cert)
+        assert report.valid and report.achieved_depth == d + 1
+        assert not np.array_equal(cert.top_masks, construct_c2(d).top_masks)
+
 
 class TestUncovered:
     def test_n5_rank3(self):
-        got = format_masks(uncovered(5, 1, 3, 3))
+        got = format_masks(uncovered_reference(5, 1, 3, 3))
         assert got == ["{1,2,4}", "{1,3,4}", "{1,3,5}", "{2,3,5}", "{2,4,5}"]
 
     def test_n5_rank2_empty(self):
-        assert len(uncovered(5, 1, 3, 2)) == 0
+        assert len(uncovered_reference(5, 1, 3, 2)) == 0
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_matches_set_difference(self, d):
-        # the c4 leftover ranks, against the sort-based set difference
-        n = 4 * d + 3
-        bottoms, tops = _veronese_arrays(n, d, 4)
-        members = interval_members(bottoms, tops)
-        sizes = popcount_array(members)
-        for t, got in zip((d + 2, d + 3), _uncovered_masks(n, bottoms, tops, (d + 2, d + 3))):
-            want = np.setdiff1d(size_masks_array(n, t), members[sizes == t])
-            assert np.array_equal(got, want)
+    def test_c4_leftovers_match_reference(self, d):
+        # c4's edges start at exactly the uncovered (d+2)-sets and end at
+        # uncovered (d+3)-sets
+        cert = construct_c4(d)
+        n = cert.universe_size
+        edge = popcount_array(cert.bottom_masks) == d + 2
+        assert np.array_equal(cert.bottom_masks[edge], uncovered_reference(n, d, 4, d + 2))
+        assert np.isin(cert.top_masks[edge], uncovered_reference(n, d, 4, d + 3)).all()
 
     def test_n7_counts(self):
-        got = _uncovered_masks(7, *_veronese_arrays(7, 1, 4), [3, 4])
+        got = [uncovered_reference(7, 1, 4, t) for t in (3, 4)]
         assert [len(masks) for masks in got] == [14, 28]
 
     def test_against_definition(self):
         # covered iff A subset of D subset of f_c(A) for some d-set A
         for c, d in ((3, 1), (4, 1), (3, 2)):
             n = c * d + c - 1
-            bottoms, tops = _veronese_arrays(n, d, c)
-            ranks = range(d + 1, d + c)
-            for t, got in zip(ranks, _uncovered_masks(n, bottoms, tops, ranks)):
+            bottoms, tops = veronese_arrays(n, d, c)
+            for t in range(d + 1, d + c):
+                got = uncovered_reference(n, d, c, t)
                 expected = []
                 for members in itertools.combinations(range(1, n + 1), t):
                     D = make_set(n, members).mask
@@ -147,7 +158,7 @@ class TestHasCoveredSuperset:
 
     def test_uncovered_triples_have_none(self):
         # uncovered top-rank sets have no room for a covered superset
-        for m in uncovered(5, 1, 3, 3).tolist():
+        for m in uncovered_reference(5, 1, 3, 3).tolist():
             assert not has_covered_superset(m, 5, 1, 3)
 
     def test_against_definition(self):
@@ -239,8 +250,6 @@ class TestNoHashUnique:
         d = 3
         cert = construct_c4(d)
         n = cert.universe_size
-        v1, v2 = _uncovered_masks(n, *_veronese_arrays(n, d, 4), (d + 2, d + 3))
-        assert len(v1) and len(v2)
         i = int(np.flatnonzero(popcount_array(cert.bottom_masks) == d + 2)[0])
         dropped = Certificate.from_arrays(
             n, d, cert.claimed_depth,
@@ -281,6 +290,17 @@ class TestBaseConstructions:
         cert = construct_c4(1)
         # 7 cube intervals plus the matched leftover pairs
         assert cert.num_explicit == math.comb(7, 1) + 14
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_c4_refuses_a_successor_not_injective(self, d, monkeypatch):
+        # adding each set's lowest missing point sends {2,3,4} and
+        # {1,3,4} alike to {1,2,3,4}
+        def lowest_missing(masks, n):
+            return popcount_array(masks & ~(masks + 1)).astype(np.int32)
+
+        monkeypatch.setattr(construct, "chain_successor_bits", lowest_missing)
+        with pytest.raises(MatchingFailed, match="^successor rule failed to be injective on V1$"):
+            construct_c4(d)
 
     def test_bad_degree(self):
         # each builder checks its own cell (cd+c-1, d), n <= 63 included
