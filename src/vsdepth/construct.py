@@ -24,7 +24,7 @@ import numpy as np
 from .blocks import f_int_masks, recurrence_signs
 from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismatch
 from .intervals import Certificate, check_cell, check_members, verify_certificate
-from .setcore import size_masks_array, sorted_unique
+from .setcore import size_masks_array
 
 
 def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
@@ -77,9 +77,13 @@ def construct_c4(d: int) -> Certificate:
     The f_4 intervals are 3-cubes that tile rank d+1.  A cube's
     (d+2)-sets are its top less one of its three free bits and its only
     (d+3)-set is its top, so the (d+2)-sets that no cube covers are read
-    off the tops.  They are matched injectively by the parenthesis rule
-    into (d+3)-supersets that are no top (every superset of an uncovered
-    set is uncovered), and the leftovers fall to the trivial completion.
+    off the tops.  They are matched by the parenthesis rule into
+    (d+3)-supersets, and the leftovers fall to the trivial completion.
+    Two lemmas make the edges disjoint from each other and from the cubes:
+    the rule is injective on sets of one size, and every superset of an
+    uncovered set is uncovered, so no matched superset is a top.  Neither
+    is re-checked here: a failure of either is an overlap, which the
+    verifier reports on every path that emits the certificate.
     """
     n = 4 * d + 3
     check_cell(n, d)
@@ -94,15 +98,6 @@ def construct_c4(d: int) -> Certificate:
         uncovered[np.searchsorted(v1, tops ^ low)] = False
     v1 = v1[uncovered]
     matched = v1 | (np.int64(1) << chain_successor_bits(v1, n).astype(np.int64))
-    if len(sorted_unique(matched)) != len(v1):
-        raise MatchingFailed("successor rule failed to be injective on V1")
-    sorted_tops = np.sort(tops)
-    hits = np.searchsorted(sorted_tops, matched)
-    if bool(np.any(sorted_tops[np.minimum(hits, len(sorted_tops) - 1)] == matched)):
-        raise MatchingFailed(
-            "a matched superset was covered; this contradicts the "
-            "uncovered-superset lemma"
-        )
     all_bottoms = np.concatenate([bottoms, v1])
     all_tops = np.concatenate([tops, matched])
     return Certificate.from_arrays(n, d, d + 3, all_bottoms, all_tops)

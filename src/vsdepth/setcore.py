@@ -202,23 +202,6 @@ def size_masks_array(n: int, t: int) -> np.ndarray:
     return level
 
 
-def sorted_unique(masks: np.ndarray) -> np.ndarray:
-    """The distinct values of a mask array, ascending, as ``np.unique``.
-
-    Since numpy 2.3 ``np.unique`` hashes integer input, and on colex masks
-    that hash is pathological: the 2.2M rank-8 masks of [27] take 3.0 s
-    to unique against 0.04 s to sort.  So this sorts and keeps each value
-    that differs from its predecessor.
-    """
-    out = np.sort(masks)
-    if len(out) < 2:
-        return out
-    keep = np.empty(len(out), dtype=bool)
-    keep[0] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
-
-
 def mask_bits(masks: np.ndarray, positions) -> Iterator[tuple[int, np.ndarray]]:
     """``(i, bits)`` for each position i in ``positions`` in turn: bit i
     of every mask as a uint8 0/1 array of the masks' shape.

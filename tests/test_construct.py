@@ -291,16 +291,25 @@ class TestBaseConstructions:
         # 7 cube intervals plus the matched leftover pairs
         assert cert.num_explicit == math.comb(7, 1) + 14
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_c4_refuses_a_successor_not_injective(self, d, monkeypatch):
-        # adding each set's lowest missing point sends {2,3,4} and
-        # {1,3,4} alike to {1,2,3,4}
+    @pytest.mark.parametrize(
+        "d,witness", [(1, "{1,2,3,5}"), (2, "{1,2,3,5,6}")], ids=["1", "2"]
+    )
+    def test_verifier_refuses_c4_with_a_successor_not_injective(self, d, witness, monkeypatch):
+        # adding each set's lowest missing point sends two leftover sets
+        # to one superset; construct_c4 does not re-check the matching,
+        # so the verifier reports the duplicated top as the overlap
         def lowest_missing(masks, n):
             return popcount_array(masks & ~(masks + 1)).astype(np.int32)
 
         monkeypatch.setattr(construct, "chain_successor_bits", lowest_missing)
-        with pytest.raises(MatchingFailed, match="^successor rule failed to be injective on V1$"):
-            construct_c4(d)
+        cert = construct_c4(d)
+        tops = np.sort(cert.top_masks)
+        duplicated = tops[1:][tops[1:] == tops[:-1]]
+        tag, shared = verify_certificate(cert).first_violation
+        assert tag == "overlap" and shared.mask == duplicated.min()
+        assert str(shared) == witness
+        with pytest.raises(AssertionError, match="does not verify"):
+            construct_general(4 * d + 3, d)
 
     def test_bad_degree(self):
         # each builder checks its own cell (cd+c-1, d), n <= 63 included

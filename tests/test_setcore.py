@@ -19,7 +19,6 @@ from vsdepth.setcore import (
     parse_masks,
     popcount_array,
     size_masks_array,
-    sorted_unique,
     write_literals,
 )
 
@@ -182,14 +181,6 @@ class TestMaskBits:
         masks = np.arange(6, dtype=np.int64).reshape(2, 3)
         (i, bits), = mask_bits(masks, [1])
         assert bits.tolist() == [[0, 0, 1], [1, 0, 0]]
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=40))
-def test_sorted_unique_matches_np_unique(masks):
-    masks = np.array(masks, dtype=np.int64)
-    got = sorted_unique(masks)
-    assert got.dtype == np.int64 and np.array_equal(got, np.unique(masks))
 
 
 class TestIntervalMembers:
