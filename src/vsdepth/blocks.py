@@ -40,7 +40,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DensityOutOfRange, ElementOutOfRange, EmptySet
-from .setcore import PointSet, _check_universe, circ_mask, mask_bits
+from .setcore import PointSet, _check_universe, circ_mask, mask_bits, slices
 
 
 @dataclass(frozen=True)
@@ -265,15 +265,19 @@ def f_int_masks(n: int, c: int, masks: np.ndarray) -> np.ndarray:
     Over the d-sets, the intervals [A, f_c(A)] are disjoint at n =
     (d+1)c-1 (the paper's bases).  At n = (d+1)c-2 they are too, with the
     least top at the upper bound: an observation that tests/test_blocks.py
-    checks, not a theorem of the paper.
+    checks, not a theorem of the paper.  The recurrence runs a slice of
+    masks at a time, so its temporaries are O(slice).
     """
     if c < 2:
         raise DensityOutOfRange(f"vectorized f_c needs integer c >= 2, got {c}")
     masks = np.asarray(masks, dtype=np.int64)
     # from c = n on, an arc from a member never goes negative, so f_c = f_n
     c = min(c, n)
-    gaps = np.zeros(masks.shape, dtype=np.int64)
-    for step, (i, negative) in enumerate(recurrence_signs(masks, c, [*range(n)] * 2)):
-        if step >= n:
-            np.bitwise_or(gaps, np.int64(1 << i), out=gaps, where=negative)
-    return masks | gaps
+    laps = [*range(n)] * 2
+    tops = masks.copy()
+    for part in slices(len(masks)):
+        top = tops[part]
+        for step, (i, negative) in enumerate(recurrence_signs(masks[part], c, laps)):
+            if step >= n:
+                np.bitwise_or(top, np.int64(1 << i), out=top, where=negative)
+    return tops

@@ -24,11 +24,11 @@ import numpy as np
 from .blocks import f_int_masks, recurrence_signs
 from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismatch
 from .intervals import Certificate, check_cell, check_members, verify_certificate
-from .setcore import size_masks_array
+from .setcore import size_masks_array, slices
 
 
 def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
-    """Per-mask 0-based position of the leftmost unmatched opening point.
+    """Per-mask 0-based position (int8) of the leftmost unmatched opening point.
 
     This is the classic parenthesis rule for matching sets into
     supersets.  Read position i as ')' when i is a member and '(' otherwise, match
@@ -37,12 +37,13 @@ def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
     if some mask has no unmatched opening position (only possible when
     members are at least half the universe).  It is one lap of
     ``recurrence_signs`` at c = 2 from point n down, keeping the lowest
-    position where the value dips below 0.
+    position where the value dips below 0, run a slice of masks at a time.
     """
     masks = np.asarray(masks, dtype=np.int64)
-    pos = np.full(masks.shape, -1, dtype=np.int32)
-    for i, negative in recurrence_signs(masks, 2, range(n - 1, -1, -1)):
-        np.copyto(pos, i, where=negative)
+    pos = np.full(masks.shape, -1, dtype=np.int8)
+    for part in slices(len(masks)):
+        for i, negative in recurrence_signs(masks[part], 2, range(n - 1, -1, -1)):
+            np.copyto(pos[part], i, where=negative)
     if bool(np.any(pos < 0)):
         raise MatchingFailed("a set has no unmatched opening position")
     return pos
@@ -58,7 +59,8 @@ def construct_c2(d: int) -> Certificate:
     n = 2 * d + 1
     check_cell(n, d)
     bottoms = size_masks_array(n, d)
-    tops = bottoms | (np.int64(1) << chain_successor_bits(bottoms, n).astype(np.int64))
+    tops = np.left_shift(1, chain_successor_bits(bottoms, n), dtype=np.int64)
+    tops |= bottoms
     return Certificate.from_arrays(n, d, d + 1, bottoms, tops)
 
 
@@ -97,10 +99,13 @@ def construct_c4(d: int) -> Certificate:
         free ^= low
         uncovered[np.searchsorted(v1, tops ^ low)] = False
     v1 = v1[uncovered]
-    matched = v1 | (np.int64(1) << chain_successor_bits(v1, n).astype(np.int64))
+    matched = np.left_shift(1, chain_successor_bits(v1, n), dtype=np.int64)
+    matched |= v1
     all_bottoms = np.concatenate([bottoms, v1])
-    all_tops = np.concatenate([tops, matched])
-    return Certificate.from_arrays(n, d, d + 3, all_bottoms, all_tops)
+    # distinct bottoms in two ascending runs: their order is the intervals'
+    order = np.argsort(all_bottoms, kind="stable")
+    all_tops = np.concatenate([tops, matched])[order]
+    return Certificate.from_arrays(n, d, d + 3, all_bottoms[order], all_tops)
 
 
 def full_ring_certificate(n: int) -> Certificate:

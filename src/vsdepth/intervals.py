@@ -58,7 +58,8 @@ _RANKS = MAX_UNIVERSE + 1
 
 # The most members, the sum of 2^dim over the intervals, of a certificate
 # that ``verify_certificate`` accepts.  It lists and sorts only the
-# members of the intervals narrower than a cube, to find overlaps; a
+# members of the intervals narrower than a cube, to find overlaps, in the
+# narrowest unsigned word that holds [n] (uint32 for n in 17..32); a
 # cube's members, the coverage and a gap's witness are counted, so a
 # certificate costs far less: (26, 1) verifies without listing any member
 # of its widest interval, of 2^25.  The limit still weighs every member,
@@ -166,8 +167,9 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
 
     An interval of 2^dim > N members, N the number of intervals, is a
     cube.  Cubes are tested against all N intervals, which costs less
-    than listing their members; the other intervals' members are listed
-    and sorted, and a duplicate among them is an overlap too.  The
+    than listing their members; the other intervals' members are listed,
+    in the narrowest unsigned word that holds [n], and sorted, and a
+    duplicate among them is an overlap too.  The
     reported overlap is the least set two intervals share.  Coverage is
     counted, not listed: C(dim, t-|b|) sets of rank t per interval; the
     least set missing from a short rank is found by the same count
@@ -203,7 +205,7 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     shapes, cubes = _shapes(bottoms, tops, cut)
     check_members(sum(g << dim for _, dim, g in shapes), "the certificate")
 
-    members = interval_members(bottoms, tops, below=cut)
+    members = interval_members(bottoms, tops, n, below=cut)
     members.sort()
     idx = _first(lambda part: members[part.start + 1:part.stop + 1] == members[part],
                  len(members) - 1)

@@ -241,10 +241,13 @@ def slices(length: int, weight: int = 1) -> Iterator[slice]:
 
 
 def interval_members(
-    bottoms: np.ndarray, tops: np.ndarray, below: int = MAX_UNIVERSE + 1
+    bottoms: np.ndarray, tops: np.ndarray, n: int, below: int = MAX_UNIVERSE + 1
 ) -> np.ndarray:
-    """Every member of every interval [bottom, top] of dimension below
-    ``below``, with multiplicity.
+    """Every member of every interval [bottom, top] over [n] of dimension
+    below ``below``, with multiplicity, in the narrowest unsigned word
+    that holds [n]: uint8 up to n = 8, uint16 up to 16, uint32 up to 32,
+    uint64 above.  The ends must lie in [n], or members are cut to the
+    word.
 
     Intervals are grouped by dimension; each group of G intervals of
     dimension k fills a (2**k, G) block of one preallocated output by
@@ -254,11 +257,12 @@ def interval_members(
     every block, so beside the output only O(_SLICE) is allocated.  The
     order of the output is unspecified.
     """
+    word = np.min_scalar_type((1 << n) - 1)
     dims = np.empty(len(bottoms), dtype=np.uint8)
     for part in slices(len(bottoms)):
         dims[part] = popcount_array(tops[part] & ~bottoms[part])
     counts = np.bincount(dims)[:below]
-    out = np.empty(sum(int(g) << k for k, g in enumerate(counts)), dtype=np.int64)
+    out = np.empty(sum(int(g) << k for k, g in enumerate(counts)), dtype=word)
     blocks = {}
     start = 0
     for k in np.flatnonzero(counts).tolist():
@@ -267,7 +271,7 @@ def interval_members(
         start += g << k
     filled = dict.fromkeys(blocks, 0)
     for part in slices(len(bottoms)):
-        free = tops[part] & ~bottoms[part]
+        free = (tops[part] & ~bottoms[part]).astype(word)
         part_dims = dims[part]
         for k in np.flatnonzero(np.bincount(part_dims)[:below]).tolist():
             sel = part_dims == k

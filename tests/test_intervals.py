@@ -84,7 +84,8 @@ class TestNewCertificate:
             raise AssertionError("np.lexsort on ordered intervals")
 
         monkeypatch.setattr(np, "lexsort", refuse)
-        for cert in (construct_c2(3), construct_c3(2), parse_certificate(text)):
+        for cert in (construct_c2(3), construct_c3(2), construct_c4(2),
+                     parse_certificate(text)):
             assert format_certificate(cert).count(b"\n") == cert.num_explicit + 3
 
 
@@ -345,14 +346,15 @@ class TestSlicedAgainstReference:
         for n, d in self.CELLS:
             cert = construct_general(n, d)
             for mutant in sliced_mutants(cert, random.Random(n * 64 + d)):
-                got = interval_members(mutant.bottom_masks, mutant.top_masks)
+                # the ends of every mutant lie in [n+1]
+                got = interval_members(mutant.bottom_masks, mutant.top_masks, n + 1)
                 want = interval_members_reference(mutant.bottom_masks, mutant.top_masks)
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("cell", [(21, 1), (22, 2), (21, 3)])
     def test_members_identical_at_full_slices(self, cell):
         cert = construct_general(*cell)
-        got = interval_members(cert.bottom_masks, cert.top_masks)
+        got = interval_members(cert.bottom_masks, cert.top_masks, cell[0])
         assert np.array_equal(got, interval_members_reference(cert.bottom_masks,
                                                               cert.top_masks))
 
@@ -368,8 +370,10 @@ class TestSlicedAgainstReference:
                         "bottom-too-small", "top-too-small", "overlap", "gap-at-rank"}
 
     def test_working_memory_is_the_member_array(self):
-        # verify_reference, with full-length temporaries, traces 2.13
-        # times the member array here; sliced, the rest is O(slice)
+        # the members of [22] fit uint32; verify_reference, which lists
+        # them all as int64 with full-length temporaries, traces 4.25
+        # times that array here, and the verifier, which lists only the
+        # intervals narrower than a cube, 0.05 times
         cert = construct_general(22, 2)
         members = plan(22, 2).members
         tracemalloc.start()
@@ -378,7 +382,55 @@ class TestSlicedAgainstReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * members
+        assert peak <= 1.25 * 4 * members
+
+
+def word_certificates(n):
+    """Three certificates over [n] at d = 1: ``valid``, k = 2, of the
+    edges [{i}, {i, i+1 mod n}] and the 2-cube [{1,2,n}, {1,2,3,4,n}];
+    ``gap``, the same without the edge at {n}, which leaves {n} uncovered;
+    and ``overlap``, the valid one with {1,n} and {n-1,n} again as
+    intervals of their own, so that every shared set holds point n."""
+    edges = [(1 << i, 1 << i | 1 << (i + 1) % n) for i in range(n)]
+    square = (0b11 | 1 << n - 1, 0b1111 | 1 << n - 1)
+    shared = [(1 | 1 << n - 1,) * 2, (0b11 << n - 2,) * 2]
+    return {
+        name: Certificate.from_arrays(n, 1, 2, *map(list, zip(*intervals)))
+        for name, intervals in [("valid", edges + [square]),
+                                ("gap", edges[:-1] + [square]),
+                                ("overlap", edges + [square] + shared)]
+    }
+
+
+class TestMemberWords:
+    """The verifier lists members in the narrowest unsigned word that
+    holds [n]; at each side of every word boundary it lists the values
+    the int64 listing does and reports what the reference reports."""
+
+    WORDS = {8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32,
+             32: np.uint32, 33: np.uint64, 63: np.uint64}
+
+    @pytest.mark.parametrize("n", sorted(WORDS))
+    def test_members_in_the_word(self, n):
+        for cert in word_certificates(n).values():
+            got = interval_members(cert.bottom_masks, cert.top_masks, n)
+            assert got.dtype == self.WORDS[n]
+            assert np.array_equal(
+                got, interval_members_reference(cert.bottom_masks, cert.top_masks)
+            )
+
+    @pytest.mark.parametrize("n", sorted(WORDS))
+    def test_reports_identical(self, n):
+        certs = word_certificates(n)
+        reports = {name: verify_certificate(cert) for name, cert in certs.items()}
+        for name, cert in certs.items():
+            assert reports[name] == verify_reference(cert)
+        assert reports["valid"].valid
+        assert reports["gap"].first_violation == ("gap-at-rank", 1, PointSet(n, 1 << n - 1))
+        # at n = 32 the least shared set has bit 31, the sign of an int32
+        assert reports["overlap"].first_violation == (
+            "overlap", PointSet(n, 1 | 1 << n - 1)
+        )
 
 
 @st.composite

@@ -206,8 +206,8 @@ class TestIntervalMembers:
         rng.shuffle(pairs)
         bottoms = np.array([b for b, _ in pairs], dtype=np.int64)
         tops = np.array([t for _, t in pairs], dtype=np.int64)
-        got = interval_members(bottoms, tops)
-        assert got.dtype == np.int64
+        got = interval_members(bottoms, tops, 63)
+        assert got.dtype == np.uint64  # the word that holds [63]
         want = np.array(
             interval_members_naive(bottoms.tolist(), tops.tolist()), dtype=np.int64
         )
