@@ -98,14 +98,26 @@ def construct_c4(d: int) -> Certificate:
         low = free & -free
         free ^= low
         uncovered[np.searchsorted(v1, tops ^ low)] = False
+    del free, low
     v1 = v1[uncovered]
+    del uncovered
     matched = np.left_shift(1, chain_successor_bits(v1, n), dtype=np.int64)
     matched |= v1
-    all_bottoms = np.concatenate([bottoms, v1])
-    # distinct bottoms in two ascending runs: their order is the intervals'
-    order = np.argsort(all_bottoms, kind="stable")
-    all_tops = np.concatenate([tops, matched])[order]
-    return Certificate.from_arrays(n, d, d + 3, all_bottoms[order], all_tops)
+    # the bottoms are two ascending runs of distinct ranks: each cube goes
+    # after the edges whose bottoms are smaller, and the edges fill the
+    # other slots in order, so the merge is in (bottom, top) order
+    all_bottoms = np.empty(len(bottoms) + len(v1), dtype=np.int64)
+    all_tops = np.empty_like(all_bottoms)
+    edge = np.ones(len(all_bottoms), dtype=bool)
+    for part in slices(len(bottoms)):
+        at = np.searchsorted(v1, bottoms[part])
+        at += np.arange(part.start, part.stop)
+        all_bottoms[at] = bottoms[part]
+        all_tops[at] = tops[part]
+        edge[at] = False
+    all_bottoms[edge] = v1
+    all_tops[edge] = matched
+    return Certificate.from_arrays(n, d, d + 3, all_bottoms, all_tops)
 
 
 def full_ring_certificate(n: int) -> Certificate:

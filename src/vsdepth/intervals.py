@@ -25,11 +25,13 @@ from .errors import (
     MemberLimitExceeded,
     RefusesUnverified,
 )
+from . import setcore
 from .setcore import (
     MAX_UNIVERSE,
     PointSet,
     interval_members,
     literal_width,
+    member_word,
     parse_masks,
     popcount_array,
     slices,
@@ -57,14 +59,27 @@ _FORMAT_SLICE = 1 << 14
 _RANKS = MAX_UNIVERSE + 1
 
 # The most members, the sum of 2^dim over the intervals, of a certificate
-# that ``verify_certificate`` accepts.  It lists and sorts only the
-# members of the intervals narrower than a cube, to find overlaps, in the
-# narrowest unsigned word that holds [n] (uint32 for n in 17..32); a
-# cube's members, the coverage and a gap's witness are counted, so a
-# certificate costs far less: (26, 1) verifies without listing any member
-# of its widest interval, of 2^25.  The limit still weighs every member,
-# so that it refuses what it refused when the verifier listed them all.
+# that ``verify_certificate`` accepts.  It lists only the members of the
+# intervals narrower than a cube, to find overlaps, in the narrowest
+# unsigned word that holds [n] (uint32 for n in 17..32), and holds them
+# in the fewer bytes of two forms: the whole list, sorted, or a set of
+# 2^n bits that the members are marked in a part at a time, which costs
+# 2^n/8 bytes and one part's working set.  So c2(12)'s 10.4M members of
+# [25] take a 4 MiB set, not a 42 MB list, and (22, 2)'s 11,550 members
+# a 46 KB list, not a 512 KiB set.  A cube's members, the coverage and a
+# gap's witness are counted, so a certificate costs far less: (26, 1)
+# verifies without listing any member of its widest interval, of 2^25.
+# The limit still weighs every member, so that it refuses what it
+# refused when the verifier listed them all.
 MAX_MEMBERS = 1 << 27
+# The marked overlap scan lists a part of at most _SLICE / _PART_WEIGHT
+# = 2^15 members at a time, or one interval of more, and holds up to
+# _PART_BYTES per member of it beside its set of 2^n bits: the members
+# and their words (uint32 for n in 17..32), their bits and the ORs per
+# word as uint64, and the intervals of a part of mixed dimension, which
+# are copied (48 measured on c4(6), 22-26 on c2 and c3).
+_PART_WEIGHT = 8
+_PART_BYTES = 48
 
 
 def check_members(count: int, what: str) -> None:
@@ -168,9 +183,13 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     An interval of 2^dim > N members, N the number of intervals, is a
     cube.  Cubes are tested against all N intervals, which costs less
     than listing their members; the other intervals' members are listed,
-    in the narrowest unsigned word that holds [n], and sorted, and a
-    duplicate among them is an overlap too.  The
-    reported overlap is the least set two intervals share.  Coverage is
+    in the narrowest unsigned word that holds [n], and a member listed
+    twice is an overlap too.  They are found in whichever form takes
+    fewer bytes, as read off n and the counts of ``_shapes`` before any
+    member is listed: the whole list, sorted (``_sorted_shared``), or a
+    set of 2^n bits, 2^n/8 bytes, and one part's working set
+    (``_marked_shared``).  The reported overlap is the least set two
+    intervals share.  Coverage is
     counted, not listed: C(dim, t-|b|) sets of rank t per interval; the
     least set missing from a short rank is found by the same count
     (``_least_missing``), so no member is listed past the overlap scan.
@@ -205,14 +224,11 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     shapes, cubes = _shapes(bottoms, tops, cut)
     check_members(sum(g << dim for _, dim, g in shapes), "the certificate")
 
-    members = interval_members(bottoms, tops, n, below=cut)
-    members.sort()
-    idx = _first(lambda part: members[part.start + 1:part.stop + 1] == members[part],
-                 len(members) - 1)
     shared = list(_cube_meets(bottoms, tops, cubes))
-    if idx is not None:
-        shared.append(int(members[idx]))
-    del members
+    scan = _marked_shared if _marking_is_smaller(n, shapes, cut) else _sorted_shared
+    least = scan(bottoms, tops, n, cut)
+    if least is not None:
+        shared.append(least)
     if shared:
         return VerifyReport(False, None, ("overlap", PointSet(n, min(shared))))
 
@@ -323,6 +339,90 @@ def _cube_meets(bottoms: np.ndarray, tops: np.ndarray, cubes: np.ndarray):
             meet &= chosen != np.arange(part.start, part.stop)
             if meet.any():
                 yield int(union[meet].min())
+
+
+def _marking_is_smaller(n: int, shapes, cut: int) -> bool:
+    """True iff ``_marked_shared`` needs fewer bytes than
+    ``_sorted_shared`` for the intervals of the ``shapes`` of ``_shapes``
+    below dimension ``cut``: its 2^n bits and one part's working set,
+    ``_PART_BYTES`` per member, against the full list of their members."""
+    listed = [(dim, g) for _, dim, g in shapes if dim < cut]
+    if not listed:
+        return False
+    count = sum(g << dim for dim, g in listed)
+    part = min(count, max(setcore._SLICE // _PART_WEIGHT, 1 << max(dim for dim, _ in listed)))
+    return (1 << n) // 8 + part * _PART_BYTES < count * member_word(n).itemsize
+
+
+def _sorted_shared(bottoms: np.ndarray, tops: np.ndarray, n: int, cut: int) -> Optional[int]:
+    """The least member that two intervals of dimension below ``cut``
+    share, or None: all their members are listed at once, sorted, and
+    scanned for a duplicate."""
+    members = interval_members(bottoms, tops, n, below=cut)
+    members.sort()
+    idx = _first(lambda part: members[part.start + 1:part.stop + 1] == members[part],
+                 len(members) - 1)
+    return None if idx is None else int(members[idx])
+
+
+def _marked_shared(bottoms: np.ndarray, tops: np.ndarray, n: int, cut: int) -> Optional[int]:
+    """``_sorted_shared`` with the members listed one part of
+    ``_narrow_parts`` at a time and marked in a set of 2^n bits, held in
+    uint64 words.
+
+    Each part's members are sorted, which groups them by word and puts a
+    member listed twice in the part next to itself; such a member, and
+    one whose bit an earlier part set, is shared.  The part's bits are
+    ORed per word with ``np.bitwise_or.reduceat``, and only a part that
+    meets the set or lists a member twice is scanned member by member
+    before its bits are set."""
+    marks = np.zeros(max(1, (1 << n) >> 6), dtype=np.uint64)
+    found = []
+    for part_bottoms, part_tops in _narrow_parts(bottoms, tops, cut):
+        members = interval_members(part_bottoms, part_tops, n)
+        members.sort()
+        words = members >> 6
+        bits = np.bitwise_and(members, 63, dtype=np.uint64)
+        np.left_shift(1, bits, out=bits)
+        heads = np.empty(len(words), dtype=bool)
+        heads[0] = True
+        np.not_equal(words[1:], words[:-1], out=heads[1:])
+        starts = np.flatnonzero(heads)
+        del heads
+        merged = np.bitwise_or.reduceat(bits, starts)
+        at = words[starts]
+        del starts
+        held = marks[at]
+        repeated = members[1:] == members[:-1]
+        if repeated.any() or (held & merged).any():
+            shared = (marks[words] & bits) != 0
+            shared[1:] |= repeated
+            found.append(int(members[np.argmax(shared)]))
+        del members, words, bits, repeated
+        held |= merged
+        marks[at] = held
+    return min(found, default=None)
+
+
+def _narrow_parts(bottoms: np.ndarray, tops: np.ndarray, cut: int):
+    """The intervals of dimension k < ``cut`` as ``(bottoms, tops)``
+    parts of one dimension k and at most max(_SLICE / _PART_WEIGHT, 2^k)
+    members: each ``slices`` part of _SLICE / _PART_WEIGHT intervals is
+    split by dimension, and each dimension's intervals into ``slices``
+    of weight _PART_WEIGHT * 2^k.  Where a slice holds one dimension
+    only, its parts are views, not copies."""
+    for chunk in slices(len(bottoms), weight=_PART_WEIGHT):
+        chunk_bottoms, chunk_tops = bottoms[chunk], tops[chunk]
+        dims = popcount_array(chunk_tops & ~chunk_bottoms)
+        counts = np.bincount(dims)
+        for k in np.flatnonzero(counts[:cut]).tolist():
+            if counts[k] == len(dims):
+                kept_bottoms, kept_tops = chunk_bottoms, chunk_tops
+            else:
+                chosen = np.flatnonzero(dims == k)
+                kept_bottoms, kept_tops = chunk_bottoms[chosen], chunk_tops[chosen]
+            for part in slices(int(counts[k]), weight=_PART_WEIGHT << k):
+                yield kept_bottoms[part], kept_tops[part]
 
 
 def _monomial(mask: int, n: int) -> str:

@@ -192,12 +192,15 @@ def size_masks_array(n: int, t: int) -> np.ndarray:
         return np.int64((1 << n) - 1) ^ size_masks_array(n, n - t)[::-1]
     level = np.zeros(1, dtype=np.int64)  # the single 0-subset
     for size in range(1, t + 1):
+        # no view of the level below outlives this pass, so only two
+        # levels are ever held
         out = np.empty(math.comb(n, size), dtype=np.int64)
         start = 0
         for m in range(size, n + 1):
-            prefix = level[: math.comb(m - 1, size - 1)]
-            np.bitwise_or(prefix, np.int64(1 << (m - 1)), out=out[start:start + len(prefix)])
-            start += len(prefix)
+            count = math.comb(m - 1, size - 1)
+            np.bitwise_or(level[:count], np.int64(1 << (m - 1)),
+                          out=out[start:start + count])
+            start += count
         level = out
     return level
 
@@ -240,6 +243,11 @@ def slices(length: int, weight: int = 1) -> Iterator[slice]:
     return (slice(i, min(i + step, length)) for i in range(0, length, step))
 
 
+def member_word(n: int) -> np.dtype:
+    """The narrowest unsigned word that holds every subset of [n]."""
+    return np.min_scalar_type((1 << n) - 1)
+
+
 def interval_members(
     bottoms: np.ndarray, tops: np.ndarray, n: int, below: int = MAX_UNIVERSE + 1
 ) -> np.ndarray:
@@ -257,7 +265,7 @@ def interval_members(
     every block, so beside the output only O(_SLICE) is allocated.  The
     order of the output is unspecified.
     """
-    word = np.min_scalar_type((1 << n) - 1)
+    word = member_word(n)
     dims = np.empty(len(bottoms), dtype=np.uint8)
     for part in slices(len(bottoms)):
         dims[part] = popcount_array(tops[part] & ~bottoms[part])

@@ -369,20 +369,107 @@ class TestSlicedAgainstReference:
         assert tags == {None, "outside-universe", "bottom-not-in-top",
                         "bottom-too-small", "top-too-small", "overlap", "gap-at-rank"}
 
-    def test_working_memory_is_the_member_array(self):
-        # the members of [22] fit uint32; verify_reference, which lists
-        # them all as int64 with full-length temporaries, traces 4.25
-        # times that array here, and the verifier, which lists only the
-        # intervals narrower than a cube, 0.05 times
-        cert = construct_general(22, 2)
-        members = plan(22, 2).members
+    def test_overlap_scan_traces_below_the_member_list(self):
+        # c2(11) lists 2.7M members of [23], 10.32 MiB as uint32: sorting
+        # that list (_sorted_shared) traces 17.86 MiB here, and marking the
+        # members in a 2^23-bit set of 1 MiB, a part of 2^15 at a time
+        # (_marked_shared, which the size rule picks), 2.5 MiB
+        cert = construct_c2(11)
+        listed = plan(23, 11).members
         tracemalloc.start()
         try:
             assert verify_certificate(cert).valid
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 4 * members
+        assert peak <= 4 * listed / 3
+
+
+def shared_mutants(cert, rng):
+    """Raw (bottoms, tops) of ``cert`` with an overlap made three ways:
+    one interval duplicated in place, one duplicated at the end, so that
+    its copy falls in another part of the marked scan, and one
+    interval's ends shifted up by one point, cut to [n]."""
+    n = cert.universe_size
+    bottoms, tops = cert.bottom_masks, cert.top_masks
+    i = rng.randrange(cert.num_explicit)
+    shifted_bottoms, shifted_tops = bottoms.copy(), tops.copy()
+    shifted_bottoms[i] = bottoms[i] << 1 & (1 << n) - 1
+    shifted_tops[i] = tops[i] << 1 & (1 << n) - 1
+    return [
+        (np.insert(bottoms, i, bottoms[i]), np.insert(tops, i, tops[i])),
+        (np.append(bottoms, bottoms[i]), np.append(tops, tops[i])),
+        (shifted_bottoms, shifted_tops),
+    ]
+
+
+class TestOverlapScans:
+    """The least member that two intervals narrower than a cube share is
+    found by sorting the full list of their members or, a part at a
+    time, by marking them in a 2^n-bit set; both forms name the same
+    member, whichever the size rule picks."""
+
+    @staticmethod
+    def scans(bottoms, tops, n):
+        cut = len(bottoms).bit_length()
+        return (intervals._sorted_shared(bottoms, tops, n, cut),
+                intervals._marked_shared(bottoms, tops, n, cut))
+
+    @pytest.mark.parametrize("cell", [(5, 1), (5, 2), (9, 2), (9, 3), (12, 2), (12, 3),
+                                      (12, 5), (14, 2), (14, 4), (14, 6)])
+    def test_forms_agree(self, cell, small_slices):
+        # slices of 8 make every interval a part of its own
+        n, d = cell
+        cert = construct_general(n, d)
+        assert self.scans(cert.bottom_masks, cert.top_masks, n) == (None, None)
+        for bottoms, tops in shared_mutants(cert, random.Random(64 * n + d)):
+            sorted_least, marked_least = self.scans(bottoms, tops, n)
+            assert sorted_least == marked_least
+
+    def test_forms_agree_across_parts(self):
+        # c2(10) lists 705,432 members of [21] in parts of at most 2^15
+        cert = construct_c2(10)
+        bottoms, tops = cert.bottom_masks, cert.top_masks
+        cut = cert.num_explicit.bit_length()
+        assert len(list(intervals._narrow_parts(bottoms, tops, cut))) >= 3
+        assert self.scans(bottoms, tops, 21) == (None, None)
+        for mutant in shared_mutants(cert, random.Random(10)):
+            sorted_least, marked_least = self.scans(*mutant, 21)
+            assert sorted_least is not None and sorted_least == marked_least
+        # the copy of the first interval is listed in the last part; the
+        # least member it shares is its bottom
+        sorted_least, marked_least = self.scans(
+            np.append(bottoms, bottoms[0]), np.append(tops, tops[0]), 21)
+        assert sorted_least == marked_least == int(bottoms[0])
+
+    def test_forms_agree_among_cubes(self):
+        # (22, 2) lists 11,550 members; the rest are cubes, met by count
+        cert = construct_general(22, 2)
+        assert self.scans(cert.bottom_masks, cert.top_masks, 22) == (None, None)
+        for bottoms, tops in shared_mutants(cert, random.Random(22)):
+            sorted_least, marked_least = self.scans(bottoms, tops, 22)
+            assert sorted_least == marked_least
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 24])
+    def test_forms_agree_in_every_word(self, n):
+        # the least shared set {1, n} has the top bit of the word at n = 8
+        # and 16; a set of 2^n bits past 24 would outgrow a test
+        certs = word_certificates(n)
+        assert self.scans(certs["valid"].bottom_masks, certs["valid"].top_masks, n) \
+            == (None, None)
+        overlap = certs["overlap"]
+        assert self.scans(overlap.bottom_masks, overlap.top_masks, n) \
+            == (1 | 1 << n - 1,) * 2
+
+    @pytest.mark.parametrize("cell, marks", [((23, 11), True), ((21, 10), True),
+                                             ((22, 2), False), ((12, 5), False)])
+    def test_size_rule(self, cell, marks):
+        # marking costs 2^n/8 bytes and one part's working set, listing
+        # the whole list: (22, 2) lists 46 KB against a 512 KiB set
+        cert = construct_general(*cell)
+        shapes, _ = intervals._shapes(cert.bottom_masks, cert.top_masks)
+        cut = cert.num_explicit.bit_length()
+        assert intervals._marking_is_smaller(cell[0], shapes, cut) == marks
 
 
 def word_certificates(n):

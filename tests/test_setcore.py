@@ -90,6 +90,16 @@ class TestSetsOfSize:
             tracemalloc.stop()
         assert len(masks) == 26 and peak < 1 << 20
 
+    def test_memory_is_the_last_two_levels(self):
+        # level t is filled from level t-1 alone; no view keeps t-2
+        tracemalloc.start()
+        try:
+            size_masks_array(21, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * (math.comb(21, 10) + math.comb(21, 9)) * 8
+
     def test_size_out_of_range(self):
         with pytest.raises(ElementOutOfRange):
             size_masks_array(3, 4)
