@@ -24,7 +24,7 @@ import numpy as np
 from .blocks import f_int_masks, recurrence_signs
 from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismatch
 from .intervals import Certificate, check_cell, check_members, verify_certificate
-from .setcore import size_masks_array, slices
+from .setcore import _check_universe, size_masks_array, slices
 
 
 def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
@@ -132,9 +132,10 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
     intervals stay as-is.  Lifted p1 members all contain n+1 while p2
     members never do, so the union is disjoint, and p1's trivial sets lift
     to rank >= p1.k + 1 where the new completion absorbs them.  Only the
-    parameters are checked; the splice is not verified, because a defect
-    in either input surfaces in the ranks the composition claims, where
-    ``construct_general`` verifies its result once.
+    parameters are checked, [n+1] within 63 points among them; the
+    splice is not verified, because a defect in either input surfaces in
+    the ranks the composition claims, where ``construct_general``
+    verifies its result once.
     """
     if p1.universe_size != p2.universe_size:
         raise UniverseMismatch(
@@ -151,6 +152,7 @@ def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
             f"p1 depth {p1.claimed_depth} below required {a_plus1 - 1}"
         )
     n = p1.universe_size
+    _check_universe(n + 1)
     new_bit = np.int64(1 << n)
     # p2 first: every lifted mask exceeds p2's, so ordered inputs give
     # an ordered splice and ``from_arrays`` need not sort it

@@ -29,9 +29,7 @@ from . import setcore
 from .setcore import (
     MAX_UNIVERSE,
     PointSet,
-    interval_members,
     literal_width,
-    member_word,
     parse_masks,
     popcount_array,
     slices,
@@ -60,11 +58,12 @@ _RANKS = MAX_UNIVERSE + 1
 
 # The most members, the sum of 2^dim over the intervals, of a certificate
 # that ``verify_certificate`` accepts.  It lists only the members of the
-# intervals narrower than a cube, to find overlaps, in the narrowest
-# unsigned word that holds [n] (uint32 for n in 17..32), and holds them
-# in the fewer bytes of two forms: the whole list, sorted, or a set of
-# 2^n bits that the members are marked in a part at a time, which costs
-# 2^n/8 bytes and one part's working set.  So c2(12)'s 10.4M members of
+# intervals narrower than a cube, to find overlaps, a part of one
+# dimension at a time, in the narrowest unsigned word that holds [n]
+# (uint32 for n in 17..32), and holds them in the fewer bytes of two
+# forms: the whole list, filled part by part and sorted, or a set of
+# 2^n bits that each part's members are marked in, which costs 2^n/8
+# bytes and one part's working set.  So c2(12)'s 10.4M members of
 # [25] take a 4 MiB set, not a 42 MB list, and (22, 2)'s 11,550 members
 # a 46 KB list, not a 512 KiB set.  A cube's members, the coverage and a
 # gap's witness are counted, so a certificate costs far less: (26, 1)
@@ -72,12 +71,13 @@ _RANKS = MAX_UNIVERSE + 1
 # The limit still weighs every member, so that it refuses what it
 # refused when the verifier listed them all.
 MAX_MEMBERS = 1 << 27
-# The marked overlap scan lists a part of at most _SLICE / _PART_WEIGHT
-# = 2^15 members at a time, or one interval of more, and holds up to
-# _PART_BYTES per member of it beside its set of 2^n bits: the members
-# and their words (uint32 for n in 17..32), their bits and the ORs per
-# word as uint64, and the intervals of a part of mixed dimension, which
-# are copied (48 measured on c4(6), 22-26 on c2 and c3).
+# ``_narrow_parts`` cuts parts of at most _SLICE / _PART_WEIGHT = 2^15
+# members, or one interval of more.  The marked overlap scan holds up to
+# _PART_BYTES per member of a part beside its set of 2^n bits: the
+# members and their words (uint32 for n in 17..32), their bits and the
+# ORs per word as uint64, and the part's intervals, which are copied
+# where a slice mixes dimensions (48 measured on c4(6), 22-26 on c2 and
+# c3).
 _PART_WEIGHT = 8
 _PART_BYTES = 48
 
@@ -182,17 +182,19 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
 
     An interval of 2^dim > N members, N the number of intervals, is a
     cube.  Cubes are tested against all N intervals, which costs less
-    than listing their members; the other intervals' members are listed,
-    in the narrowest unsigned word that holds [n], and a member listed
-    twice is an overlap too.  They are found in whichever form takes
-    fewer bytes, as read off n and the counts of ``_shapes`` before any
-    member is listed: the whole list, sorted (``_sorted_shared``), or a
-    set of 2^n bits, 2^n/8 bytes, and one part's working set
+    than listing their members; the other intervals' members are listed
+    by ``interval_members``, a part of one dimension from
+    ``_narrow_parts`` at a time, in the narrowest unsigned word that
+    holds [n], and a member listed twice is an overlap too.  They are
+    found in whichever form takes fewer bytes, as read off n and the
+    counts of ``_shapes`` before any member is listed: the whole list,
+    sized by those counts and sorted (``_sorted_shared``), or a set of
+    2^n bits, 2^n/8 bytes, and one part's working set
     (``_marked_shared``).  The reported overlap is the least set two
-    intervals share.  Coverage is
-    counted, not listed: C(dim, t-|b|) sets of rank t per interval; the
-    least set missing from a short rank is found by the same count
-    (``_least_missing``), so no member is listed past the overlap scan.
+    intervals share.  Coverage is counted, not listed: C(dim, t-|b|)
+    sets of rank t per interval; the least set missing from a short rank
+    is found by the same count (``_least_missing``), so no member is
+    listed past the overlap scan.
     """
     n = cert.universe_size
     d = cert.min_generator_size
@@ -225,8 +227,11 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     check_members(sum(g << dim for _, dim, g in shapes), "the certificate")
 
     shared = list(_cube_meets(bottoms, tops, cubes))
-    scan = _marked_shared if _marking_is_smaller(n, shapes, cut) else _sorted_shared
-    least = scan(bottoms, tops, n, cut)
+    if _marking_is_smaller(n, shapes, cut):
+        least = _marked_shared(bottoms, tops, n, cut)
+    else:
+        listed = sum(g << dim for _, dim, g in shapes if dim < cut)
+        least = _sorted_shared(bottoms, tops, n, cut, listed)
     if least is not None:
         shared.append(least)
     if shared:
@@ -354,11 +359,18 @@ def _marking_is_smaller(n: int, shapes, cut: int) -> bool:
     return (1 << n) // 8 + part * _PART_BYTES < count * member_word(n).itemsize
 
 
-def _sorted_shared(bottoms: np.ndarray, tops: np.ndarray, n: int, cut: int) -> Optional[int]:
+def _sorted_shared(bottoms: np.ndarray, tops: np.ndarray, n: int, cut: int,
+                   count: int) -> Optional[int]:
     """The least member that two intervals of dimension below ``cut``
-    share, or None: all their members are listed at once, sorted, and
-    scanned for a duplicate."""
-    members = interval_members(bottoms, tops, n, below=cut)
+    share, or None: all ``count`` of their members are listed into one
+    array, a part of ``_narrow_parts`` at a time, sorted, and scanned
+    for a duplicate."""
+    members = np.empty(count, dtype=member_word(n))
+    start = 0
+    for k, part_bottoms, part_tops in _narrow_parts(bottoms, tops, cut):
+        stop = start + (len(part_bottoms) << k)
+        interval_members(part_bottoms, part_tops, members[start:stop].reshape(1 << k, -1))
+        start = stop
     members.sort()
     idx = _first(lambda part: members[part.start + 1:part.stop + 1] == members[part],
                  len(members) - 1)
@@ -376,10 +388,12 @@ def _marked_shared(bottoms: np.ndarray, tops: np.ndarray, n: int, cut: int) -> O
     ORed per word with ``np.bitwise_or.reduceat``, and only a part that
     meets the set or lists a member twice is scanned member by member
     before its bits are set."""
+    word = member_word(n)
     marks = np.zeros(max(1, (1 << n) >> 6), dtype=np.uint64)
     found = []
-    for part_bottoms, part_tops in _narrow_parts(bottoms, tops, cut):
-        members = interval_members(part_bottoms, part_tops, n)
+    for k, part_bottoms, part_tops in _narrow_parts(bottoms, tops, cut):
+        members = np.empty(len(part_bottoms) << k, dtype=word)
+        interval_members(part_bottoms, part_tops, members.reshape(1 << k, -1))
         members.sort()
         words = members >> 6
         bits = np.bitwise_and(members, 63, dtype=np.uint64)
@@ -405,12 +419,14 @@ def _marked_shared(bottoms: np.ndarray, tops: np.ndarray, n: int, cut: int) -> O
 
 
 def _narrow_parts(bottoms: np.ndarray, tops: np.ndarray, cut: int):
-    """The intervals of dimension k < ``cut`` as ``(bottoms, tops)``
+    """The intervals of dimension k < ``cut`` as ``(k, bottoms, tops)``
     parts of one dimension k and at most max(_SLICE / _PART_WEIGHT, 2^k)
-    members: each ``slices`` part of _SLICE / _PART_WEIGHT intervals is
-    split by dimension, and each dimension's intervals into ``slices``
-    of weight _PART_WEIGHT * 2^k.  Where a slice holds one dimension
-    only, its parts are views, not copies."""
+    members, for ``interval_members`` to list: each ``slices`` part of
+    _SLICE / _PART_WEIGHT intervals is split by dimension, and each
+    dimension's intervals into ``slices`` of weight _PART_WEIGHT * 2^k.
+    Where a slice holds one dimension only, its parts are views, not
+    copies.  This is where the verifier groups the intervals whose
+    members it lists by dimension, once."""
     for chunk in slices(len(bottoms), weight=_PART_WEIGHT):
         chunk_bottoms, chunk_tops = bottoms[chunk], tops[chunk]
         dims = popcount_array(chunk_tops & ~chunk_bottoms)
@@ -422,7 +438,27 @@ def _narrow_parts(bottoms: np.ndarray, tops: np.ndarray, cut: int):
                 chosen = np.flatnonzero(dims == k)
                 kept_bottoms, kept_tops = chunk_bottoms[chosen], chunk_tops[chosen]
             for part in slices(int(counts[k]), weight=_PART_WEIGHT << k):
-                yield kept_bottoms[part], kept_tops[part]
+                yield k, kept_bottoms[part], kept_tops[part]
+
+
+def member_word(n: int) -> np.dtype:
+    """The narrowest unsigned word that holds every subset of [n]: uint8
+    up to n = 8, uint16 up to 16, uint32 up to 32, uint64 above."""
+    return np.min_scalar_type((1 << n) - 1)
+
+
+def interval_members(bottoms: np.ndarray, tops: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out``, of shape (2^k, G) in an unsigned word, with the
+    members of the G intervals [bottom, top], which all have dimension
+    k: column i lists interval i's.  Rows [2^j, 2^(j+1)) are rows
+    [0, 2^j) with each interval's j-th lowest free bit added.  The ends
+    must fit the word, or members are cut to it."""
+    rest = (tops & ~bottoms).astype(out.dtype)
+    out[0] = bottoms
+    for j in range(out.shape[0].bit_length() - 1):
+        low = rest & -rest
+        rest ^= low
+        np.bitwise_or(out[:1 << j], low, out=out[1 << j:2 << j])
 
 
 def _monomial(mask: int, n: int) -> str:

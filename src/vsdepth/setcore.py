@@ -241,55 +241,3 @@ def slices(length: int, weight: int = 1) -> Iterator[slice]:
     needs only O(_SLICE) temporaries."""
     step = max(1, _SLICE // max(weight, 1))
     return (slice(i, min(i + step, length)) for i in range(0, length, step))
-
-
-def member_word(n: int) -> np.dtype:
-    """The narrowest unsigned word that holds every subset of [n]."""
-    return np.min_scalar_type((1 << n) - 1)
-
-
-def interval_members(
-    bottoms: np.ndarray, tops: np.ndarray, n: int, below: int = MAX_UNIVERSE + 1
-) -> np.ndarray:
-    """Every member of every interval [bottom, top] over [n] of dimension
-    below ``below``, with multiplicity, in the narrowest unsigned word
-    that holds [n]: uint8 up to n = 8, uint16 up to 16, uint32 up to 32,
-    uint64 above.  The ends must lie in [n], or members are cut to the
-    word.
-
-    Intervals are grouped by dimension; each group of G intervals of
-    dimension k fills a (2**k, G) block of one preallocated output by
-    doubling: rows [2**j, 2**(j+1)) are rows [0, 2**j) with each
-    interval's j-th lowest free bit added.  The free bits are read a
-    slice of intervals at a time, each slice filling the next columns of
-    every block, so beside the output only O(_SLICE) is allocated.  The
-    order of the output is unspecified.
-    """
-    word = member_word(n)
-    dims = np.empty(len(bottoms), dtype=np.uint8)
-    for part in slices(len(bottoms)):
-        dims[part] = popcount_array(tops[part] & ~bottoms[part])
-    counts = np.bincount(dims)[:below]
-    out = np.empty(sum(int(g) << k for k, g in enumerate(counts)), dtype=word)
-    blocks = {}
-    start = 0
-    for k in np.flatnonzero(counts).tolist():
-        g = int(counts[k])
-        blocks[k] = out[start:start + (g << k)].reshape(1 << k, g)
-        start += g << k
-    filled = dict.fromkeys(blocks, 0)
-    for part in slices(len(bottoms)):
-        free = (tops[part] & ~bottoms[part]).astype(word)
-        part_dims = dims[part]
-        for k in np.flatnonzero(np.bincount(part_dims)[:below]).tolist():
-            sel = part_dims == k
-            rest = free[sel]
-            col = filled[k]
-            block = blocks[k][:, col:col + len(rest)]
-            filled[k] = col + len(rest)
-            block[0] = bottoms[part][sel]
-            for j in range(k):
-                low = rest & -rest
-                rest ^= low
-                np.bitwise_or(block[: 1 << j], low, out=block[1 << j: 2 << j])
-    return out

@@ -457,8 +457,12 @@ def _element_reference(tok: str, text: str, n: int) -> int:
 
 
 def interval_members_reference(bottoms: np.ndarray, tops: np.ndarray) -> np.ndarray:
-    """``setcore.interval_members`` as it was before it ran in slices,
-    verbatim: every step at full interval length."""
+    """Every member of every interval, with multiplicity, as int64: the
+    package's member lister as it was before it ran in slices, verbatim,
+    grouping all the intervals by dimension and listing each group at
+    full length by doubling.  The package now lists one dimension at a
+    time (``intervals.interval_members``) over the parts that
+    ``intervals._narrow_parts`` cuts, in the word of [n]."""
     free = tops & ~bottoms
     dims = popcount_array(free)
     counts = np.bincount(dims)

@@ -20,7 +20,7 @@ from vsdepth.construct import (
     full_ring_certificate,
     plan,
 )
-from vsdepth.errors import BadParameters, DepthMismatch, MatchingFailed
+from vsdepth.errors import BadParameters, DepthMismatch, MatchingFailed, UniverseOutOfRange
 from vsdepth.intervals import Certificate, verify_certificate
 from vsdepth.setcore import (
     format_masks,
@@ -366,6 +366,12 @@ class TestCompose:
         shallow = Certificate.from_arrays(5, 0, 1, [0], [0b11111])
         with pytest.raises(DepthMismatch):
             compose_plus1(shallow, construct_c3(1))
+
+    def test_universe_past_63_is_refused(self):
+        # the new point 64 has no bit in an int64 mask
+        with pytest.raises(UniverseOutOfRange):
+            compose_plus1(full_ring_certificate(63),
+                          Certificate.from_arrays(63, 1, 1, [], []))
 
 
 class TestConstructGeneral:

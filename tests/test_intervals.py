@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vsdepth import intervals, setcore
@@ -33,10 +33,12 @@ from vsdepth.intervals import (
     verify_certificate,
 )
 from vsdepth.construct import plan
-from vsdepth.setcore import PointSet, interval_members, make_set
+from vsdepth.intervals import interval_members, member_word
+from vsdepth.setcore import PointSet, make_set
 
 from oracles import (
     gap_witness_reference,
+    interval_members_naive,
     interval_members_reference,
     intervals_share_member,
     parse_certificate_reference,
@@ -339,6 +341,55 @@ def small_slices(monkeypatch):
     monkeypatch.setattr(setcore, "_SLICE", 8)
 
 
+def listed_members(bottoms, tops, n):
+    """Every member of every interval, as the verifier lists them: a
+    part of ``_narrow_parts`` at a time, through ``interval_members``,
+    in the word of [n]; sorted."""
+    parts = [np.empty(0, dtype=member_word(n))]
+    for k, part_bottoms, part_tops in intervals._narrow_parts(bottoms, tops,
+                                                              intervals._RANKS):
+        out = np.empty((1 << k, len(part_bottoms)), dtype=member_word(n))
+        interval_members(part_bottoms, part_tops, out)
+        parts.append(out.reshape(-1))
+    return np.sort(np.concatenate(parts))
+
+
+def same_members(got, want):
+    """True iff the sorted unsigned ``got`` and the int64 ``want`` list
+    the same members, each as often."""
+    return np.array_equal(got.astype(np.int64), np.sort(want))
+
+
+class TestIntervalMembers:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        groups=st.lists(
+            st.tuples(st.integers(0, 20), st.integers(1, 100)), max_size=4
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(groups=[], seed=0)
+    @example(groups=[(3, 63), (3, 64), (0, 70), (17, 1), (20, 1)], seed=1)
+    def test_matches_naive_enumeration(self, groups, seed):
+        # groups of (dimension, interval count), one kernel call each;
+        # high dimensions keep few intervals so the naive oracle stays quick
+        rng = random.Random(seed)
+        for dim, count in groups:
+            pairs = []
+            for _ in range(min(count, max(1, (1 << 16) >> dim))):
+                bits = rng.sample(range(63), dim + rng.randint(0, 63 - dim))
+                bottom = sum(1 << i for i in bits[dim:])
+                pairs.append((bottom, bottom | sum(1 << i for i in bits[:dim])))
+            bottoms = np.array([b for b, _ in pairs], dtype=np.int64)
+            tops = np.array([t for _, t in pairs], dtype=np.int64)
+            out = np.empty((1 << dim, len(pairs)), dtype=member_word(63))
+            assert out.dtype == np.uint64  # the word that holds [63]
+            interval_members(bottoms, tops, out)
+            # column i lists interval i's members
+            for i, (b, t) in enumerate(pairs):
+                assert same_members(np.sort(out[:, i]), interval_members_naive([b], [t]))
+
+
 class TestSlicedAgainstReference:
     CELLS = [(n, d) for n in range(1, 13) for d in range(1, n + 1)]
 
@@ -347,16 +398,16 @@ class TestSlicedAgainstReference:
             cert = construct_general(n, d)
             for mutant in sliced_mutants(cert, random.Random(n * 64 + d)):
                 # the ends of every mutant lie in [n+1]
-                got = interval_members(mutant.bottom_masks, mutant.top_masks, n + 1)
+                got = listed_members(mutant.bottom_masks, mutant.top_masks, n + 1)
                 want = interval_members_reference(mutant.bottom_masks, mutant.top_masks)
-                assert np.array_equal(got, want)
+                assert same_members(got, want)
 
     @pytest.mark.parametrize("cell", [(21, 1), (22, 2), (21, 3)])
     def test_members_identical_at_full_slices(self, cell):
         cert = construct_general(*cell)
-        got = interval_members(cert.bottom_masks, cert.top_masks, cell[0])
-        assert np.array_equal(got, interval_members_reference(cert.bottom_masks,
-                                                              cert.top_masks))
+        got = listed_members(cert.bottom_masks, cert.top_masks, cell[0])
+        assert same_members(got, interval_members_reference(cert.bottom_masks,
+                                                            cert.top_masks))
 
     def test_reports_identical(self, small_slices):
         tags = set()
@@ -371,7 +422,7 @@ class TestSlicedAgainstReference:
 
     def test_overlap_scan_traces_below_the_member_list(self):
         # c2(11) lists 2.7M members of [23], 10.32 MiB as uint32: sorting
-        # that list (_sorted_shared) traces 17.86 MiB here, and marking the
+        # that list (_sorted_shared) traces 10.82 MiB here, and marking the
         # members in a 2^23-bit set of 1 MiB, a part of 2^15 at a time
         # (_marked_shared, which the size rule picks), 2.5 MiB
         cert = construct_c2(11)
@@ -412,7 +463,9 @@ class TestOverlapScans:
     @staticmethod
     def scans(bottoms, tops, n):
         cut = len(bottoms).bit_length()
-        return (intervals._sorted_shared(bottoms, tops, n, cut),
+        shapes, _ = intervals._shapes(bottoms, tops)
+        listed = sum(g << dim for _, dim, g in shapes if dim < cut)
+        return (intervals._sorted_shared(bottoms, tops, n, cut, listed),
                 intervals._marked_shared(bottoms, tops, n, cut))
 
     @pytest.mark.parametrize("cell", [(5, 1), (5, 2), (9, 2), (9, 3), (12, 2), (12, 3),
@@ -461,6 +514,25 @@ class TestOverlapScans:
         assert self.scans(overlap.bottom_masks, overlap.top_masks, n) \
             == (1 | 1 << n - 1,) * 2
 
+    @pytest.mark.parametrize("build, d", [(construct_c2, 9), (construct_c4, 5)])
+    def test_sorted_scan_traces_within_twice_its_list(self, build, d):
+        # the list is sized from the shapes and filled a part at a time,
+        # beside which each part allocates O(_SLICE): c2(9) lists 184,756
+        # members of [19] and traces 1.63 times their 0.70 MiB, c4(5)
+        # 557,612 of [23] and 1.44 times their 2.13 MiB
+        cert = build(d)
+        bottoms, tops, n = cert.bottom_masks, cert.top_masks, cert.universe_size
+        cut = cert.num_explicit.bit_length()
+        shapes, _ = intervals._shapes(bottoms, tops)
+        listed = sum(g << dim for _, dim, g in shapes if dim < cut)
+        tracemalloc.start()
+        try:
+            assert intervals._sorted_shared(bottoms, tops, n, cut, listed) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * listed * member_word(n).itemsize
+
     @pytest.mark.parametrize("cell, marks", [((23, 11), True), ((21, 10), True),
                                              ((22, 2), False), ((12, 5), False)])
     def test_size_rule(self, cell, marks):
@@ -499,10 +571,11 @@ class TestMemberWords:
 
     @pytest.mark.parametrize("n", sorted(WORDS))
     def test_members_in_the_word(self, n):
+        assert member_word(n) == self.WORDS[n]
         for cert in word_certificates(n).values():
-            got = interval_members(cert.bottom_masks, cert.top_masks, n)
+            got = listed_members(cert.bottom_masks, cert.top_masks, n)
             assert got.dtype == self.WORDS[n]
-            assert np.array_equal(
+            assert same_members(
                 got, interval_members_reference(cert.bottom_masks, cert.top_masks)
             )
 

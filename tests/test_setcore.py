@@ -12,7 +12,6 @@ from vsdepth.setcore import (
     PointSet,
     circ_mask,
     format_masks,
-    interval_members,
     literal_width,
     make_set,
     mask_bits,
@@ -22,7 +21,7 @@ from vsdepth.setcore import (
     write_literals,
 )
 
-from oracles import interval_members_naive, iter_size_masks, set_literal_naive
+from oracles import iter_size_masks, set_literal_naive
 
 
 class TestMakeSet:
@@ -191,34 +190,3 @@ class TestMaskBits:
         masks = np.arange(6, dtype=np.int64).reshape(2, 3)
         (i, bits), = mask_bits(masks, [1])
         assert bits.tolist() == [[0, 0, 1], [1, 0, 0]]
-
-
-class TestIntervalMembers:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        groups=st.lists(
-            st.tuples(st.integers(0, 20), st.integers(1, 100)), max_size=4
-        ),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(groups=[], seed=0)
-    @example(groups=[(3, 63), (3, 64), (0, 70), (17, 1), (20, 1)], seed=1)
-    def test_matches_naive_enumeration(self, groups, seed):
-        # groups of (dimension, interval count), interleaved; high
-        # dimensions keep few intervals so the naive oracle stays quick
-        rng = random.Random(seed)
-        pairs = []
-        for dim, count in groups:
-            for _ in range(min(count, max(1, (1 << 16) >> dim))):
-                bits = rng.sample(range(63), dim + rng.randint(0, 63 - dim))
-                bottom = sum(1 << i for i in bits[dim:])
-                pairs.append((bottom, bottom | sum(1 << i for i in bits[:dim])))
-        rng.shuffle(pairs)
-        bottoms = np.array([b for b, _ in pairs], dtype=np.int64)
-        tops = np.array([t for _, t in pairs], dtype=np.int64)
-        got = interval_members(bottoms, tops, 63)
-        assert got.dtype == np.uint64  # the word that holds [63]
-        want = np.array(
-            interval_members_naive(bottoms.tolist(), tops.tolist()), dtype=np.int64
-        )
-        assert np.array_equal(np.sort(got), np.sort(want))
