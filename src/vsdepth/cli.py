@@ -66,8 +66,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if report.valid:
         print(f"VALID depth={report.achieved_depth}")
         return 0
-    tag, *detail = report.first_violation
-    print(f"INVALID {tag} " + " ".join(str(x) for x in detail))
+    print(f"INVALID {report.violation()}")
     return 1
 
 
@@ -89,7 +88,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_sdepth(args: argparse.Namespace) -> int:
     budget = solver_mod.SearchBudget(wall_time_limit=args.budget_secs)
-    if args.exact or args.k is None:
+    if args.k is None:
         result = solver_mod.exact_sdepth(args.n, args.d, budget)
         label = "sdepth" if result.status == "proved" else "sdepth>="
         print(f"{label}{result.value_or_bound} status={result.status} "
@@ -151,8 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sdepth", help="exact search at (n, d)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--k", type=int, default=None)
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--exact", action="store_true")
+    target.add_argument("--k", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=60.0)
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(func=_cmd_sdepth)

@@ -211,28 +211,23 @@ def construct_general(n: int, d: int) -> Certificate:
     """
     check_cell(n, d)
     check_members(plan(n, d).members, f"the certificate for n={n}, d={d}")
-    memo: dict[tuple[int, int], Certificate] = {}
 
+    @functools.cache
     def build(m: int, e: int) -> Certificate:
-        if (m, e) in memo:
-            return memo[(m, e)]
         step = plan(m, e)
         if step.kind == "full":
-            cert = full_ring_certificate(m)
-        elif step.kind == "trivial":
-            cert = Certificate.from_arrays(m, e, step.depth, [], [])
-        elif step.kind == "base":
-            cert = _BASE_BUILDERS[step.c](e)
-        else:
-            cert = compose_plus1(build(m - 1, e - 1), build(m - 1, e))
-        memo[(m, e)] = cert
-        return cert
+            return full_ring_certificate(m)
+        if step.kind == "trivial":
+            return Certificate.from_arrays(m, e, step.depth, [], [])
+        if step.kind == "base":
+            return _BASE_BUILDERS[step.c](e)
+        return compose_plus1(build(m - 1, e - 1), build(m - 1, e))
 
     cert = build(n, d)
     report = verify_certificate(cert)
     if not report.valid:
         raise AssertionError(
-            f"constructed certificate does not verify: {report.first_violation}"
+            f"constructed certificate does not verify: {report.violation()}"
         )
     return cert
 

@@ -166,6 +166,10 @@ class VerifyReport:
     first_violation: Optional[tuple] = None
     rank_coverage: dict[int, int] = field(default_factory=dict)
 
+    def violation(self) -> str:
+        """The first violation as ``verify`` prints it: ``gap-at-rank 1 {1}``."""
+        return " ".join(map(str, self.first_violation))
+
 
 def verify_certificate(cert: Certificate) -> VerifyReport:
     """Check the partition property and report the achieved depth.
@@ -469,7 +473,7 @@ def render_stanley(cert: Certificate) -> str:
     """The decomposition as a direct sum of monomial-times-subring summands."""
     report = verify_certificate(cert)
     if not report.valid:
-        raise RefusesUnverified(f"certificate does not verify: {report.first_violation}")
+        raise RefusesUnverified(f"certificate does not verify: {report.violation()}")
     n = cert.universe_size
     lines = []
     for b, t in zip(cert.bottom_masks, cert.top_masks):

@@ -35,9 +35,10 @@ C(k-r0, r-r0) pairwise-distinct, currently-uncovered sets at every rank
 r <= k (at rank k: one each, a k-subset of the top).  Whenever
 U[r0] * C(k-r0, r-r0) exceeds U[r] the node is dead.
 
-The depth-first search keeps its open nodes on an explicit stack, one
-frame per chosen interval, so the interpreter's recursion limit does not
-bound the size of a certificate.
+The depth-first search keeps its open nodes on an explicit stack, so the
+interpreter's recursion limit does not bound the size of a certificate.
+Each open node is one suspended ``_fitting_tops`` generator, holding the
+interval it last yielded placed until it is resumed.
 """
 from __future__ import annotations
 
@@ -133,7 +134,8 @@ class _Searcher:
 
     def _fitting_tops(self, m: int, r: int) -> Iterator[tuple[int, list[int]]]:
         """Tops t of the intervals [m, t] with no occupied member, in colex
-        order, each with the members of [m, t]; reads the deadline."""
+        order, each with the members of [m, t], which stay placed until the
+        generator is resumed; reads the deadline."""
         occupied = self.occupied
         free = ((1 << self.n) - 1) & ~m
         need = self.k - r
@@ -155,7 +157,11 @@ class _Searcher:
             while True:
                 rest = (rest - sub) & sub
                 if not rest:
+                    self._place(r, members, +1)
+                    self.chosen.append((m, m | sub))
                     yield m | sub, members
+                    self._place(r, members, -1)
+                    self.chosen.pop()
                     break
                 x = m | rest
                 if x in occupied:
@@ -193,10 +199,8 @@ class _Searcher:
             uncovered[r0 + j] -= sign * math.comb(dim, j)
 
     def search(self) -> bool:
-        # one frame per open node: [fitting tops, bottom, rank, members of
-        # the interval placed from it or None]
-        stack: list[list] = []
-        chosen = self.chosen
+        # one suspended _fitting_tops generator per open node
+        stack: list[Iterator[tuple[int, list[int]]]] = []
         r0, m = self.d, (1 << self.d) - 1
         while True:
             self._tick()
@@ -205,22 +209,14 @@ class _Searcher:
                 return True
             r0, m = cur
             if self._alive(r0):
-                stack.append([self._fitting_tops(m, r0), m, r0, None])
-            # place the next fitting top of the deepest open node; a node
-            # with none left is closed, and its parent's interval taken back
+                stack.append(self._fitting_tops(m, r0))
+            # resume the deepest open node: it takes its interval back and
+            # places its next fitting top; a node with none left is closed
             while stack:
-                frame = stack[-1]
-                tops, m, r0, placed = frame
-                if placed is not None:
-                    self._place(r0, placed, -1)
-                    chosen.pop()
-                    frame[3] = None
-                step = next(tops, None)
+                step = next(stack[-1], None)
                 if step is not None:
-                    t, members = step
-                    self._place(r0, members, +1)
-                    chosen.append((m, t))
-                    frame[3] = members
+                    m = step[1][0]
+                    r0 = m.bit_count()
                     break
                 stack.pop()
             else:
@@ -237,7 +233,7 @@ def _verified(cert: Certificate) -> Optional[Certificate]:
         return None
     if not report.valid:
         raise AssertionError(
-            f"solver produced an invalid certificate: {report.first_violation}"
+            f"solver produced an invalid certificate: {report.violation()}"
         )
     return cert
 

@@ -84,6 +84,17 @@ class TestConstructVerifyRender:
         assert run(["verify", "--cert", cert_path]) == 1
         assert out_lines(capsys)[-1].startswith("INVALID gap-at-rank")
 
+    def test_render_names_the_violation_as_verify_does(self, tmp_path, capsys):
+        cert_path = str(tmp_path / "cert.txt")
+        with open(cert_path, "w") as fh:
+            fh.write("VSDEPTH-CERT v1\nn=3 d=1 k=2\ntrivial-completion\n")
+        assert run(["verify", "--cert", cert_path]) == 1
+        assert out_lines(capsys) == ["INVALID gap-at-rank 1 {1}"]
+        assert run(["render", "--cert", cert_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: certificate does not verify: gap-at-rank 1 {1}\n"
+
     def test_missing_file(self, capsys):
         assert run(["verify", "--cert", "/nonexistent/cert.txt"]) == 2
 
@@ -225,6 +236,12 @@ class TestSdepth:
     def test_disproved_exit_code(self, capsys):
         assert run(["sdepth", "--n", "4", "--d", "2", "--k", "3"]) == 1
         assert out_lines(capsys)[0].startswith("k=3 status=disproved")
+
+    def test_exact_and_k_refused_together(self, capsys):
+        # one command cannot both descend to the exact value and certify k
+        assert run(["sdepth", "--n", "6", "--d", "2", "--exact", "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
 
     def test_rank_k_prune_disproves_at_root(self, capsys):
         # bounds gives upper=4 at (7,4); only the rank-k count shows it

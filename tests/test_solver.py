@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 import time
 import tracemalloc
@@ -204,6 +206,25 @@ class TestFittingTops:
                     want.append((t, members))
         assert got == want
 
+    def test_placed_while_suspended(self):
+        # suspended on a top, the generator holds [m, t] placed; resumed,
+        # it takes it back; exhausted, it leaves the search as it found it
+        searcher = _Searcher(6, 2, 4, BUDGET)
+        searcher.occupied.add(0b1011)
+        occupied, uncovered = set(searcher.occupied), list(searcher.uncovered)
+        yielded = 0
+        for t, members in searcher._fitting_tops(0b11, 2):
+            yielded += 1
+            assert searcher.occupied == occupied | set(members)
+            assert searcher.chosen == [(0b11, t)]
+            dim = (t & ~0b11).bit_count()
+            assert searcher.uncovered == [
+                u - (math.comb(dim, r - 2) if r >= 2 else 0)
+                for r, u in enumerate(uncovered)
+            ]
+        assert yielded > 1
+        assert (searcher.occupied, searcher.uncovered, searcher.chosen) == (occupied, uncovered, [])
+
     @pytest.mark.parametrize("n,d,k", [(40, 2, 9), (30, 3, 9)])
     def test_dead_bits_dropped(self, n, d, k):
         # no top holding a free bit b with m | b occupied fits; dropping
@@ -223,6 +244,21 @@ class TestFittingTops:
             searcher.search()
         assert searcher.nodes == 301
         assert searcher.occupied.lookups < 100_000
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize("n,d,k,nodes,digest", [
+        (14, 1, 7, 1716, "4543287c34714ddc3d67a0900d8216c47a30fdd2ca67b206de8022e79e609395"),
+        (14, 2, 6, 1275, "9e380899d93b7c97bb8264fcfa5daa37350400d07cb8b59063853bba935b985e"),
+        (19, 3, 7, 18412, "4dd363efe02ae30b7a536a489cbf862981c0e88f39133528441b2345cc601d99"),
+    ])
+    def test_nodes_and_certificates_pinned(self, n, d, k, nodes, digest):
+        # past the reach of the recursive reference, the order in which
+        # the search places and takes back intervals is pinned here: the
+        # node count and the sha256 of the certificate text
+        result = certify_at_least(n, d, k, BUDGET)
+        assert (result.status, result.nodes_explored) == ("proved", nodes)
+        assert hashlib.sha256(format_certificate(result.certificate)).hexdigest() == digest
 
 
 class TestAgainstRecursiveReference:
