@@ -25,11 +25,12 @@ its second lap:
 - from the first point at which both runs are closed, they agree.
 
 At q = 1, "s < 1 -> 0" is max(s, 0), so s' = max(s, 0) + w with w = c-1
-or -1.  ``recurrence_signs`` runs that over mask arrays for two rules:
-``f_int_masks`` (f_c: gaps where s' < 0 on the second lap from point 1)
-and ``construct.chain_successor_bits`` (the parenthesis rule: one lap at
-c = 2 from point n down; max(s, 0) counts the pending ')', and s' < 0
-marks an unmatched '(').
+or -1.  ``recurrence_signs`` reads the bits of a mask array itself and
+runs that over it for the two rules that sit beside it: ``f_int_masks``
+(f_c: gaps where s' < 0 on the second lap from point 1) and
+``chain_successor_bits`` (the parenthesis rule: one lap at c = 2 from
+point n down; max(s, 0) counts the pending ')', and s' < 0 marks an
+unmatched '(').
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DensityOutOfRange, ElementOutOfRange, EmptySet
-from .setcore import PointSet, _check_universe, circ_mask, mask_bits, slices
+from .errors import DensityOutOfRange, ElementOutOfRange, EmptySet, MatchingFailed
+from .setcore import PointSet, _check_universe, circ_mask, slices
 
 
 @dataclass(frozen=True)
@@ -243,15 +244,26 @@ def f_delta(n: int, A: PointSet, delta: Density) -> PointSet:
 def recurrence_signs(masks: np.ndarray, c: int,
                      positions) -> Iterator[tuple[int, np.ndarray]]:
     """``(i, negative)`` per position i of the sequence ``positions``:
-    per mask, whether s' < 0 in the q = 1 recurrence from s = 0, with
-    w = c-1 <= 62 at a member; ``negative`` is rewritten in place."""
+    per mask of the 1-d array ``masks``, whether s' < 0 in the q = 1
+    recurrence from s = 0, with w = c-1 <= 62 at a member; ``negative``
+    is rewritten in place.  The byte that holds bit i is copied out once
+    per run of positions that fall in it, so each position reads one
+    byte per mask, not eight."""
+    columns = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
     # -1 <= s <= len(positions)(c-1): 126 at c = 2, else at most 2*63*62
     bound = len(positions) * (c - 1)
-    s = np.zeros(np.shape(masks), dtype=np.int8 if bound < 1 << 7 else np.int16)
-    negative = np.empty(np.shape(masks), dtype=bool)
-    for i, bits in mask_bits(masks, positions):
+    s = np.zeros(len(columns), dtype=np.int8 if bound < 1 << 7 else np.int16)
+    negative = np.empty(len(columns), dtype=bool)
+    bits = np.empty(len(columns), dtype=np.uint8)
+    w = bits.view(np.int8)
+    byte, column = -1, None
+    for i in positions:
+        if i >> 3 != byte:
+            byte = i >> 3
+            column = np.ascontiguousarray(columns[:, byte])
+        np.right_shift(column, i & 7, out=bits)
+        np.bitwise_and(bits, 1, out=bits)
         np.maximum(s, 0, out=s)
-        w = bits.view(np.int8)
         w *= c
         s += w
         s -= 1
@@ -281,3 +293,25 @@ def f_int_masks(n: int, c: int, masks: np.ndarray) -> np.ndarray:
             if step >= n:
                 np.bitwise_or(top, np.int64(1 << i), out=top, where=negative)
     return tops
+
+
+def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """Per-mask 0-based position (int8) of the leftmost unmatched opening point.
+
+    This is the classic parenthesis rule for matching sets into
+    supersets.  Read position i as ')' when i is a member and '(' otherwise, match
+    parentheses, and report the leftmost unmatched '('.  Adding that
+    position to the set is injective over masks of a fixed size.  Raises
+    if some mask has no unmatched opening position (only possible when
+    members are at least half the universe).  It is one lap of
+    ``recurrence_signs`` at c = 2 from point n down, keeping the lowest
+    position where the value dips below 0, run a slice of masks at a time.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    pos = np.full(masks.shape, -1, dtype=np.int8)
+    for part in slices(len(masks)):
+        for i, negative in recurrence_signs(masks[part], 2, range(n - 1, -1, -1)):
+            np.copyto(pos[part], i, where=negative)
+    if bool(np.any(pos < 0)):
+        raise MatchingFailed("a set has no unmatched opening position")
+    return pos

@@ -21,32 +21,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .blocks import f_int_masks, recurrence_signs
-from .errors import BadParameters, DepthMismatch, MatchingFailed, UniverseMismatch
+from .blocks import chain_successor_bits, f_int_masks
+from .errors import BadParameters, DepthMismatch, UniverseMismatch
 from .intervals import Certificate, check_cell, check_members, verify_certificate
 from .setcore import _check_universe, size_masks_array, slices
-
-
-def chain_successor_bits(masks: np.ndarray, n: int) -> np.ndarray:
-    """Per-mask 0-based position (int8) of the leftmost unmatched opening point.
-
-    This is the classic parenthesis rule for matching sets into
-    supersets.  Read position i as ')' when i is a member and '(' otherwise, match
-    parentheses, and report the leftmost unmatched '('.  Adding that
-    position to the set is injective over masks of a fixed size.  Raises
-    if some mask has no unmatched opening position (only possible when
-    members are at least half the universe).  It is one lap of
-    ``recurrence_signs`` at c = 2 from point n down, keeping the lowest
-    position where the value dips below 0, run a slice of masks at a time.
-    """
-    masks = np.asarray(masks, dtype=np.int64)
-    pos = np.full(masks.shape, -1, dtype=np.int8)
-    for part in slices(len(masks)):
-        for i, negative in recurrence_signs(masks[part], 2, range(n - 1, -1, -1)):
-            np.copyto(pos[part], i, where=negative)
-    if bool(np.any(pos < 0)):
-        raise MatchingFailed("a set has no unmatched opening position")
-    return pos
 
 
 def construct_c2(d: int) -> Certificate:
@@ -224,6 +202,8 @@ def construct_general(n: int, d: int) -> Certificate:
         return compose_plus1(build(m - 1, e - 1), build(m - 1, e))
 
     cert = build(n, d)
+    # the cache and build form a cycle that only the cyclic GC would free
+    build.cache_clear()
     report = verify_certificate(cert)
     if not report.valid:
         raise AssertionError(

@@ -48,11 +48,8 @@ _CANONICAL_HEAD = re.compile(
 )
 _CANONICAL_TAIL = f"\n{FILE_TERMINATOR}\n".encode()
 _LINE_START = np.frombuffer(b"interval {", dtype=np.uint8)
-_SLICE_BYTES = 1 << 18
-# the writer's side: the bytes before a line's first literal, and the
-# intervals spelled per slice
+# the writer's side: the bytes before a line's first literal
 _LINE_HEAD = np.frombuffer(b"interval ", dtype=np.uint8)
-_FORMAT_SLICE = 1 << 14
 # bottom sizes and dimensions run over 0..63
 _RANKS = MAX_UNIVERSE + 1
 
@@ -492,8 +489,8 @@ def format_certificate(cert: Certificate) -> bytes:
     """Canonical line-oriented certificate text as bytes (round-trip
     stable).
 
-    The interval lines are spelled a slice of ``_FORMAT_SLICE`` at a
-    time: each line is one zero-padded uint8 row filled by
+    The interval lines are spelled a slice of about ``setcore._SLICE``
+    bytes at a time: each line is one zero-padded uint8 row filled by
     ``write_literals``, and the slice's padding is dropped with one
     ``bytes.translate``.
     """
@@ -503,13 +500,13 @@ def format_certificate(cert: Certificate) -> bytes:
         raise ElementOutOfRange(f"an interval has members outside 1..{n}")
     width = literal_width(n)
     head = len(_LINE_HEAD)
+    row = head + 2 * width + 2
     parts = [
         f"{FILE_HEADER}\nn={n} d={cert.min_generator_size} "
         f"k={cert.claimed_depth}\n".encode()
     ]
-    for i in range(0, len(bottoms), _FORMAT_SLICE):
-        part = slice(i, i + _FORMAT_SLICE)
-        rows = np.zeros((len(bottoms[part]), head + 2 * width + 2), dtype=np.uint8)
+    for part in slices(len(bottoms), weight=row):
+        rows = np.zeros((part.stop - part.start, row), dtype=np.uint8)
         rows[:, :head] = _LINE_HEAD
         write_literals(rows[:, head:head + width], bottoms[part], n)
         rows[:, head + width] = ord(" ")
@@ -561,16 +558,16 @@ def _in_domain(n: int, d: int, k: int) -> bool:
 
 def _canonical_body(raw: bytes, start: int, end: int, n: int):
     """The bottom and top masks of the interval lines in raw[start:end],
-    read in slices of about ``_SLICE_BYTES`` cut at line ends, so that
-    only one slice's index arrays exist at a time; None unless every
-    line is canonical."""
+    read in slices of about ``setcore._SLICE`` bytes cut at line ends,
+    so that only one slice's index arrays exist at a time; None unless
+    every line is canonical."""
     count = raw.count(b"\n", start, end)
     bottoms = np.empty(count, dtype=np.int64)
     tops = np.empty(count, dtype=np.int64)
     buffer = np.frombuffer(raw, dtype=np.uint8)
     done = 0
     while start < end:
-        stop = (raw.rfind(b"\n", start, min(start + _SLICE_BYTES, end)) + 1
+        stop = (raw.rfind(b"\n", start, min(start + setcore._SLICE, end)) + 1
                 or raw.find(b"\n", start, end) + 1)
         masks = _canonical_masks(buffer[start:stop], n)
         if masks is None:

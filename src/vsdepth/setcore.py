@@ -205,29 +205,6 @@ def size_masks_array(n: int, t: int) -> np.ndarray:
     return level
 
 
-def mask_bits(masks: np.ndarray, positions) -> Iterator[tuple[int, np.ndarray]]:
-    """``(i, bits)`` for each position i in ``positions`` in turn: bit i
-    of every mask as a uint8 0/1 array of the masks' shape.
-
-    Each byte of the masks is copied out once per run of positions that
-    fall in it, so a per-bit scan reads one byte per mask and position,
-    not eight.  ``bits`` is one buffer, rewritten at every position, so
-    the caller may work on it in place.
-    """
-    flat = np.ascontiguousarray(masks, dtype="<i8").reshape(-1)
-    columns = flat.view(np.uint8).reshape(-1, 8)
-    buffer = np.empty(len(flat), dtype=np.uint8)
-    bits = buffer.reshape(np.shape(masks))
-    byte, column = -1, None
-    for i in positions:
-        if i >> 3 != byte:
-            byte = i >> 3
-            column = np.ascontiguousarray(columns[:, byte])
-        np.right_shift(column, i & 7, out=buffer)
-        np.bitwise_and(buffer, 1, out=buffer)
-        yield i, bits
-
-
 def popcount_array(masks: np.ndarray) -> np.ndarray:
     """Per-element popcount of an int64 mask array, as uint8 (a count is
     at most 64); the masks are read in place as unsigned."""

@@ -280,3 +280,28 @@ class TestVectorizedF:
             # at k = d the verifier checks only overlaps and tops
             assert verify_certificate(Certificate.from_arrays(n, d, d, bottoms, tops)).valid, (n, d)
             assert int(popcount_array(tops).min()) >= d + (n - d) // (d + 1), (n, d)
+
+
+class TestRecurrenceSigns:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        masks=st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=30),
+        positions=st.lists(st.integers(0, 63), max_size=130),
+        c=st.sampled_from([2, 3, 63]),
+    )
+    # the int8 counter at its largest, 126, and the int16 one near its
+    @example(masks=[-1, 0, 1 << 62], positions=[*range(63)] * 2, c=2)
+    @example(masks=[-1, 0, 1 << 62], positions=[*range(63)] * 2, c=63)
+    def test_matches_python_recurrence(self, masks, positions, c):
+        # reversed, so the masks are not contiguous; negative is scribbled
+        # on, and must be rewritten at every position
+        array = np.array(masks, dtype=np.int64)[::-1]
+        ints = array.tolist()
+        s = [0] * len(ints)
+        seen = []
+        for i, negative in blocks.recurrence_signs(array, c, positions):
+            s = [max(v, 0) + (c - 1 if m >> i & 1 else -1) for v, m in zip(s, ints)]
+            assert negative.tolist() == [v < 0 for v in s], (i, s)
+            negative ^= True
+            seen.append(i)
+        assert seen == positions

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -410,6 +412,29 @@ class TestConstructGeneral:
         monkeypatch.setattr(construct, "verify_certificate", counting)
         cert = construct_general(n, d)
         assert len(calls) == 1 and calls[0] is cert
+
+    def test_build_tree_freed_before_verifying(self, monkeypatch):
+        # with the cyclic GC off, a composed certificate lives on only if
+        # something still refers to it, such as the build cache
+        made, alive = [], []
+
+        def recording(p1, p2):
+            cert = compose_plus1(p1, p2)
+            made.append(weakref.ref(cert))
+            return cert
+
+        def checking(cert):
+            alive.extend(ref for ref in made if ref() is not None and ref() is not cert)
+            return verify_certificate(cert)
+
+        monkeypatch.setattr(construct, "compose_plus1", recording)
+        monkeypatch.setattr(construct, "verify_certificate", checking)
+        gc.disable()
+        try:
+            construct_general(21, 3)
+        finally:
+            gc.enable()
+        assert len(made) > 1 and not alive, f"{len(alive)} of {len(made)} alive"
 
     def test_invalid_base_is_internal_error(self, monkeypatch):
         # (6,1) composes c3(1); its missing interval leaves a gap in the result

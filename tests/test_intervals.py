@@ -934,7 +934,7 @@ class TestParseAgainstReference:
     def test_lenient_line_past_the_first_slice(self):
         # one spelling the byte pass refuses, in the last of several slices
         text = certificate_text(("c2", 8))
-        assert len(text) > 4 * intervals._SLICE_BYTES
+        assert len(text) > 4 * setcore._SLICE
         cut = text.rindex("interval {")
         member = re.search(r"\d+", text[cut:])
         lenient = text[:cut + member.start()] + "0" + text[cut + member.start():]
@@ -972,8 +972,9 @@ class TestCanonicalTextTakesTheBytePass:
         assert np.array_equal(back.top_masks, cert.top_masks)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_base_constructions(self, d, refuse_lenient):
-        # plus no intervals at all, and an empty literal
+    def test_base_constructions(self, d, refuse_lenient, small_slices):
+        # plus no intervals at all, and an empty literal; the small slices
+        # make both directions cross slice boundaries
         empty = np.empty(0, dtype=np.int64)
         certs = [construct_c2(d), construct_c3(d), construct_c4(d),
                  Certificate.from_arrays(d, d, d, empty, empty),

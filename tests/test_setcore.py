@@ -14,7 +14,6 @@ from vsdepth.setcore import (
     format_masks,
     literal_width,
     make_set,
-    mask_bits,
     parse_masks,
     popcount_array,
     size_masks_array,
@@ -170,23 +169,3 @@ class TestSetLiteral:
 def test_popcount_array():
     masks = np.array([0, 1, 0b1011, (1 << 40) - 1, -1], dtype=np.int64)
     assert popcount_array(masks).tolist() == [0, 1, 3, 40, 64]
-
-
-class TestMaskBits:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        masks=st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=30),
-        positions=st.lists(st.integers(0, 63), max_size=80),
-    )
-    def test_matches_shift(self, masks, positions):
-        # reversed, so the masks are not contiguous; bits is scribbled on
-        masks = np.array(masks, dtype=np.int64)[::-1]
-        for i, bits in mask_bits(masks, positions):
-            assert bits.dtype == np.uint8
-            assert bits.tolist() == ((masks >> i) & 1).tolist()
-            bits *= 3
-
-    def test_keeps_shape(self):
-        masks = np.arange(6, dtype=np.int64).reshape(2, 3)
-        (i, bits), = mask_bits(masks, [1])
-        assert bits.tolist() == [[0, 0, 1], [1, 0, 0]]
