@@ -40,7 +40,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DensityOutOfRange, ElementOutOfRange, EmptySet, MatchingFailed
+from .errors import (
+    DensityOutOfRange,
+    ElementOutOfRange,
+    EmptySet,
+    MatchingFailed,
+    UniverseMismatch,
+)
 from .setcore import PointSet, _check_universe, circ_mask, slices
 
 
@@ -156,7 +162,7 @@ def _scan(n: int, a_mask: int, p: int, q: int) -> tuple[list[int], list[int]]:
 def block_structure(n: int, A: PointSet, delta: Density) -> BlockStructure:
     """The unique block structure of A on [n] with density delta."""
     if A.n != n:
-        raise ElementOutOfRange(f"set universe {A.n} != n={n}")
+        raise UniverseMismatch(f"set universe {A.n} != n={n}")
     _check_density_range(n, A, delta)
     starts, ends = _scan(n, A.mask, delta.p, delta.q)
     if ends[0] < starts[0]:
@@ -188,23 +194,13 @@ def block_structure_violation(bs: BlockStructure) -> Optional[str]:
     p, q = bs.density.p, bs.density.q
     if len(bs.blocks) == 0 or len(bs.blocks) != len(bs.gaps):
         return "partition"
-    # blocks and gaps must alternate contiguously and tile the circle
-    covered = 0
-    for idx, block in enumerate(bs.blocks):
-        gap = bs.gaps[idx]
-        nxt = bs.blocks[(idx + 1) % len(bs.blocks)]
-        after = _cyclic_succ(n, block.end)
-        if gap is None:
-            if after != nxt.start:
-                return "partition"
-        else:
-            if gap.start != after or _cyclic_succ(n, gap.end) != nxt.start:
-                return "partition"
-        pieces = block.mask | (gap.mask if gap else 0)
-        if covered & pieces:
-            return "partition"
-        covered |= pieces
-    if covered != (1 << n) - 1:
+    # blocks and gaps in turn, empty gaps skipped, are arcs that must each
+    # start just past the one before; arcs laid so round the circle cover
+    # it exactly once iff their lengths sum to n
+    arcs = [arc for pair in zip(bs.blocks, bs.gaps) for arc in pair if arc is not None]
+    if sum(arc.length for arc in arcs) != n or any(
+        _cyclic_succ(n, prev.end) != arc.start for prev, arc in zip(arcs[-1:] + arcs, arcs)
+    ):
         return "partition"
     for block in bs.blocks:
         if not a_mask >> (block.start - 1) & 1:

@@ -177,7 +177,9 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     counts the covered sets at every rank d..n once the intervals are
     found disjoint.  An interval end with members outside [n] is reported
     as ``("outside-universe", mask)`` with a plain int mask, since no
-    PointSet can hold it.  Past the checks that need no enumeration, a
+    PointSet can hold it.  The size checks read |b| and |t| = |b| + dim
+    off the counts of ``_shapes``; only a failing one scans the ends, to
+    name the first interval that fails it.  Past these checks, a
     certificate of more members than the verifier holds is refused by
     ``check_members`` before any member is listed.
 
@@ -212,19 +214,15 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
             False, None,
             ("bottom-not-in-top", PointSet(n, int(bottoms[idx]))),
         )
-    idx = _first(lambda part: popcount_array(bottoms[part]) < d, len(bottoms))
-    if idx is not None:
-        return VerifyReport(
-            False, None, ("bottom-too-small", PointSet(n, int(bottoms[idx])))
-        )
-    idx = _first(lambda part: popcount_array(tops[part]) < k, len(tops))
-    if idx is not None:
-        return VerifyReport(
-            False, None, ("top-too-small", PointSet(n, int(tops[idx])))
-        )
-
     cut = len(bottoms).bit_length()  # dim >= cut iff 2^dim > N: a cube
     shapes, cubes = _shapes(bottoms, tops, cut)
+    for tag, ends, least, small in (
+        ("bottom-too-small", bottoms, d, any(p < d for p, _, _ in shapes)),
+        ("top-too-small", tops, k, any(p + dim < k for p, dim, _ in shapes)),
+    ):
+        if small:
+            idx = _first(lambda part: popcount_array(ends[part]) < least, len(ends))
+            return VerifyReport(False, None, (tag, PointSet(n, int(ends[idx]))))
     check_members(sum(g << dim for _, dim, g in shapes), "the certificate")
 
     shared = list(_cube_meets(bottoms, tops, cubes))
@@ -535,8 +533,8 @@ def parse_certificate(data: bytes | str) -> Certificate:
     Text in the canonical layout of ``format_certificate`` is read as one
     byte buffer by ``_canonical_masks``, a slice of lines at a time; CR LF
     line ends are first made LF, as ``_parse_lenient`` splits on both.
-    Any other text, such as ``{03,+2}`` or a space inside braces, is read
-    whole by ``_parse_lenient``, literal by literal.
+    Any other text, such as ``{03,+2}``, is read whole by
+    ``_parse_lenient``, literal by literal.
     """
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
     lf = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw

@@ -103,6 +103,23 @@ def all_block_structures(n: int, A: PointSet, delta: Density) -> list[BlockStruc
     return found
 
 
+def arcs_partition_circle(bs: BlockStructure) -> bool:
+    """True iff the blocks and gaps of ``bs`` partition the circle [n]:
+    taken in turn with empty gaps skipped, every point of [n] lies in the
+    mask of exactly one of them, and each starts just past the end of the
+    one before it."""
+    n = bs.n
+    if not bs.blocks or len(bs.blocks) != len(bs.gaps):
+        return False
+    arcs = []
+    for block, gap in zip(bs.blocks, bs.gaps):
+        arcs += [block] if gap is None else [block, gap]
+    hits = [sum(arc.mask >> (x - 1) & 1 for arc in arcs) for x in range(1, n + 1)]
+    return hits == [1] * n and all(
+        arcs[i - 1].end % n + 1 == arcs[i].start for i in range(len(arcs))
+    )
+
+
 def intervals_share_member(n: int, b1: int, t1: int, b2: int, t2: int) -> bool:
     """Whether the intervals [b1, t1] and [b2, t2] over [n] share a set,
     by membership comparison over the whole Boolean lattice."""

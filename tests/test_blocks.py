@@ -16,7 +16,7 @@ from vsdepth.blocks import (
     f_int_masks,
     verify_block_structure,
 )
-from vsdepth.errors import DensityOutOfRange, EmptySet
+from vsdepth.errors import DensityOutOfRange, EmptySet, UniverseMismatch
 from vsdepth.intervals import Certificate, verify_certificate
 from vsdepth.setcore import (
     PointSet,
@@ -26,7 +26,7 @@ from vsdepth.setcore import (
 )
 
 import oracles
-from oracles import all_block_structures, f_int_masks_reference
+from oracles import all_block_structures, arcs_partition_circle, f_int_masks_reference
 
 
 @st.composite
@@ -46,6 +46,36 @@ def densities_and_masks(draw):
     n = draw(st.integers(1, 63))
     c = draw(st.integers(2, n + 1))
     return n, c, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+
+
+@st.composite
+def arc_structures(draw):
+    """A BlockStructure over [n], n <= 9, whose blocks and gaps are arcs
+    laid end to end from a random point, once or twice round the circle,
+    and then, half the time, one arc redrawn or one gap emptied."""
+    n = draw(st.integers(1, 9))
+    laps = draw(st.sampled_from([1, 1, 1, 2]))
+    cuts = sorted(draw(st.sets(st.integers(0, laps * n - 1), max_size=7)) - {0})
+    lengths = [b - a for a, b in zip([0, *cuts], [*cuts, laps * n])]
+    start = draw(st.integers(1, n))
+    arcs = []
+    for length in lengths:
+        arcs.append(CircBlock(n, start, (start + length - 2) % n + 1))
+        start = (start + length - 1) % n + 1
+    blocks, gaps = [], []
+    while arcs:
+        blocks.append(arcs.pop(0))
+        gaps.append(arcs.pop(0) if arcs and draw(st.booleans()) else None)
+    if draw(st.booleans()):
+        point = st.integers(1, n)
+        i = draw(st.integers(0, len(blocks) - 1))
+        arc = CircBlock(n, draw(point), draw(point))
+        if draw(st.booleans()):
+            blocks[i] = arc
+        else:
+            gaps[i] = draw(st.sampled_from([None, arc]))
+    A = PointSet(n, draw(st.integers(0, (1 << n) - 1)))
+    return BlockStructure(n, A, Density(2, 1), tuple(blocks), tuple(gaps))
 
 
 def blocks_of(bs):
@@ -97,6 +127,12 @@ class TestBlockStructure:
         # the run from 8 swallows 1, so the single block starts at 8
         bs = block_structure(8, make_set(8, [1, 8]), Density(3, 1))
         assert blocks_of(bs) == [(1, 2, 3, 4, 5, 8)]
+
+    def test_set_over_another_universe(self):
+        A = make_set(3, [1])
+        for call in (block_structure, f_delta):
+            with pytest.raises(UniverseMismatch, match="set universe 3 != n=4"):
+                call(4, A, Density(2, 1))
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySet):
@@ -155,6 +191,51 @@ class TestVerifier:
             (None, CircBlock(8, 7, 8)),
         )
         assert block_structure_violation(bs) == "clause-i"
+
+    @pytest.mark.parametrize("blocks, gaps", [
+        # the gaps swapped: each arc is in place but for where it starts
+        ([(1, 3), (5, 7)], [(8, 8), (4, 4)]),
+        # two overlapping blocks, each run just past the other's gap
+        ([(1, 5), (1, 5)], [(6, 8), (6, 8)]),
+        # the arcs stop short of the circle: nothing holds 8
+        ([(1, 3)], [(4, 7)]),
+        # a full-circle block and a full-circle gap after it, which a walk
+        # that ORs a block with its own gap before testing overlap passes
+        ([(1, 8)], [(1, 8)]),
+        # a gap missing, and no block at all
+        ([(1, 3), (5, 7)], [(4, 4)]),
+        ([], []),
+    ])
+    def test_partition_violation(self, blocks, gaps):
+        bs = BlockStructure(
+            8, make_set(8, [1, 5]), Density(3, 1),
+            tuple(CircBlock(8, *b) for b in blocks),
+            tuple(CircBlock(8, *g) for g in gaps),
+        )
+        assert block_structure_violation(bs) == "partition"
+        assert not arcs_partition_circle(bs)
+
+    def test_clause_ii_violation(self):
+        # the gap after the block from 1 holds 5, a member of A
+        bs = BlockStructure(
+            8, make_set(8, [1, 5]), Density(3, 1),
+            (CircBlock(8, 1, 3),), (CircBlock(8, 4, 8),),
+        )
+        assert block_structure_violation(bs) == "clause-ii"
+
+    def test_clause_iv_violation(self):
+        # {1..6} weighs 3*2 - 6 = 0, but its prefix {1,2,3} weighs 0 < 1
+        bs = BlockStructure(
+            8, make_set(8, [1, 5]), Density(3, 1),
+            (CircBlock(8, 1, 6),), (CircBlock(8, 7, 8),),
+        )
+        assert block_structure_violation(bs) == "clause-iv"
+
+    @settings(max_examples=500, deadline=None)
+    @given(bs=arc_structures())
+    def test_partition_matches_reference(self, bs):
+        tag = block_structure_violation(bs)
+        assert (tag != "partition") == arcs_partition_circle(bs)
 
 
 class TestFDelta:

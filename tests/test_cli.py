@@ -39,10 +39,12 @@ def run_capped(*argv, timeout=30.0):
 class TestBlocks:
     def test_example(self, capsys):
         code = run(["blocks", "--n", "8", "--set", "{1,4,5,8}", "--density", "3/2"])
-        lines = out_lines(capsys)
         assert code == 0
-        assert lines[0].startswith("blocks ")
-        assert lines[2].startswith("f ")
+        assert out_lines(capsys) == [
+            "blocks {1},{4},{5},{8}",
+            "gaps {2,3},{},{6,7},{}",
+            "f {1,2,3,4,5,6,7,8}",
+        ]
 
     def test_integer_density(self, capsys):
         code = run(["blocks", "--n", "5", "--set", "{1}", "--density", "3"])

@@ -310,6 +310,21 @@ class TestVerify:
         report = verify_certificate(cert)
         assert report.first_violation[0] == "top-too-small"
 
+    def test_sizes_are_read_off_the_shapes(self, monkeypatch):
+        # a valid certificate's ends are popcounted by _shapes (|b| and
+        # dim) and _narrow_parts (dim) alone: no pass for the size checks
+        cert = construct_c2(5)
+        counted = []
+
+        def counting(masks):
+            counted.append(len(masks))
+            return setcore.popcount_array(masks)
+
+        monkeypatch.setattr(intervals, "popcount_array", counting)
+        assert verify_certificate(cert).valid
+        assert cert.num_explicit == 462
+        assert sum(counted) <= 3 * cert.num_explicit
+
 
 def sliced_mutants(cert, rng):
     """``cert`` and its mutants: one interval dropped, one duplicated, a
@@ -770,6 +785,8 @@ class TestFileFormat:
         "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1} {1,b}\ntrivial-completion",
         "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {0} {1,2}\ntrivial-completion",
         "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1} {1,4}\ntrivial-completion",
+        # a line splits on whitespace, so a space inside braces breaks it
+        "VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval { 1} {1,2}\ntrivial-completion",
     ])
     def test_malformed_input_refused(self, body):
         with pytest.raises((CertificateFormatError, ElementOutOfRange)):
