@@ -14,7 +14,6 @@ from .blocks import (
 from .construct import (
     Bounds,
     bounds,
-    compose_plus1,
     construct_c2,
     construct_c3,
     construct_c4,
@@ -51,7 +50,6 @@ __all__ = [
     "block_structure_violation",
     "bounds",
     "certify_at_least",
-    "compose_plus1",
     "conjecture_scan",
     "construct_c2",
     "construct_c3",

@@ -8,23 +8,25 @@ superset.  c=2 uses no f_2 interval: it matches every d-set into a
 certify depth d+1, but they are other intervals, so switching would
 change every certificate that c=2 emits.
 
-The general builder reaches arbitrary (n, d) by lifting a pair of
-certificates over [n] into one over [n+1] (the plus-one composition) down
-to the base constructions.
+The general builder reaches arbitrary (n, d) by the plus-one
+composition: the certificate for (n, d) is the one for (n-1, d) followed
+by the one for (n-1, d-1) lifted by the point n, down to the base
+constructions, the full ring and the trivial certificate.  It builds each
+distinct leaf of that recursion once and writes its intervals, lifted,
+straight into the result; no intermediate certificate is built.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .blocks import chain_successor_bits, f_int_masks
-from .errors import BadParameters, DepthMismatch, UniverseMismatch
 from .intervals import Certificate, check_cell, check_members, verify_certificate
-from .setcore import _check_universe, size_masks_array, slices
+from .setcore import size_masks_array, slices
 
 
 def construct_c2(d: int) -> Certificate:
@@ -103,44 +105,6 @@ def full_ring_certificate(n: int) -> Certificate:
     return Certificate.from_arrays(n, 0, n, [0], [(1 << n) - 1])
 
 
-def compose_plus1(p1: Certificate, p2: Certificate) -> Certificate:
-    """Lift a (n, d-1) certificate and splice it with a (n, d) one.
-
-    Every explicit interval of p1 is lifted by the new point n+1; p2's
-    intervals stay as-is.  Lifted p1 members all contain n+1 while p2
-    members never do, so the union is disjoint, and p1's trivial sets lift
-    to rank >= p1.k + 1 where the new completion absorbs them.  Only the
-    parameters are checked, [n+1] within 63 points among them; the
-    splice is not verified, because a defect in either input surfaces in
-    the ranks the composition claims, where ``construct_general``
-    verifies its result once.
-    """
-    if p1.universe_size != p2.universe_size:
-        raise UniverseMismatch(
-            f"universe sizes differ: {p1.universe_size} vs {p2.universe_size}"
-        )
-    if p2.min_generator_size != p1.min_generator_size + 1:
-        raise BadParameters(
-            f"p2 must be one degree above p1: d={p1.min_generator_size} "
-            f"vs {p2.min_generator_size}"
-        )
-    a_plus1 = p2.claimed_depth
-    if p1.claimed_depth < a_plus1 - 1:
-        raise DepthMismatch(
-            f"p1 depth {p1.claimed_depth} below required {a_plus1 - 1}"
-        )
-    n = p1.universe_size
-    _check_universe(n + 1)
-    new_bit = np.int64(1 << n)
-    # p2 first: every lifted mask exceeds p2's, so ordered inputs give
-    # an ordered splice and ``from_arrays`` need not sort it
-    bottoms = np.concatenate([p2.bottom_masks, p1.bottom_masks | new_bit])
-    tops = np.concatenate([p2.top_masks, p1.top_masks | new_bit])
-    return Certificate.from_arrays(
-        n + 1, p2.min_generator_size, a_plus1, bottoms, tops
-    )
-
-
 _BASE_BUILDERS = {2: construct_c2, 3: construct_c3, 4: construct_c4}
 
 class Step(NamedTuple):
@@ -177,39 +141,71 @@ def plan(m: int, e: int) -> Step:
     return Step("compose", 0, p2.depth, p1.members + p2.members)
 
 
+def _leaves(n: int, d: int) -> Iterator[tuple[int, int, int]]:
+    """The leaf cells (m, e) of ``plan`` under (n, d), each with the mask
+    that lifts it into [n], in the order of the certificate's intervals.
+
+    A composed (m, e) lays out (m-1, e) as it is, then (m-1, e-1) lifted
+    by the point m: the first part's masks lie below 2^(m-1) and the
+    lifted ones above, so leaves in (bottom, top) order give a layout in
+    that order too.
+    """
+    stack = [(n, d, 0)]
+    while stack:
+        m, e, lift = stack.pop()
+        if plan(m, e).kind != "compose":
+            yield m, e, lift
+            continue
+        stack.append((m - 1, e - 1, lift | 1 << (m - 1)))
+        stack.append((m - 1, e, lift))
+
+
+def _leaf(m: int, e: int) -> Certificate:
+    """The certificate of a cell that ``plan`` builds without composing."""
+    step = plan(m, e)
+    if step.kind == "full":
+        return full_ring_certificate(m)
+    if step.kind == "trivial":
+        return Certificate.from_arrays(m, e, step.depth, [], [])
+    return _BASE_BUILDERS[step.c](e)
+
+
 def construct_general(n: int, d: int) -> Certificate:
     """Certified lower-bound certificate for arbitrary 1 <= d <= n <= 63.
 
-    Builds the certificate that ``plan`` lays out; the degree-0 leg of
-    each composition is the full-ring interval.  A plan of more members
-    than the verifier accepts is refused by ``check_members`` before
-    anything is built.  The result is verified
-    once, here; a failure is an internal error and raises
-    ``AssertionError``.
+    Builds the certificate that ``plan`` lays out: each distinct leaf of
+    ``_leaves`` is built once, and its intervals are written, lifted,
+    wherever it is placed.  A plan of more members than the verifier
+    accepts is refused by ``check_members`` before anything is built.
+    The result is verified once, here; a failure is an internal error
+    and raises ``AssertionError``.
     """
     check_cell(n, d)
-    check_members(plan(n, d).members, f"the certificate for n={n}, d={d}")
-
-    @functools.cache
-    def build(m: int, e: int) -> Certificate:
-        step = plan(m, e)
-        if step.kind == "full":
-            return full_ring_certificate(m)
-        if step.kind == "trivial":
-            return Certificate.from_arrays(m, e, step.depth, [], [])
-        if step.kind == "base":
-            return _BASE_BUILDERS[step.c](e)
-        return compose_plus1(build(m - 1, e - 1), build(m - 1, e))
-
-    cert = build(n, d)
-    # the cache and build form a cycle that only the cyclic GC would free
-    build.cache_clear()
+    step = plan(n, d)
+    check_members(step.members, f"the certificate for n={n}, d={d}")
+    if step.kind == "compose":
+        cert = Certificate.from_arrays(n, d, step.depth, *_splice(n, d))
+    else:
+        cert = _leaf(n, d)
     report = verify_certificate(cert)
     if not report.valid:
         raise AssertionError(
             f"constructed certificate does not verify: {report.violation()}"
         )
     return cert
+
+
+def _splice(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bottoms and tops of the composed (n, d), placed leaf by leaf."""
+    leaf = functools.cache(_leaf)
+    placed = [(leaf(m, e), lift) for m, e, lift in _leaves(n, d)]
+    bottoms = np.concatenate([cert.bottom_masks for cert, _ in placed])
+    tops = np.concatenate([cert.top_masks for cert, _ in placed])
+    lifts = np.repeat(np.array([lift for _, lift in placed], dtype=np.int64),
+                      [cert.num_explicit for cert, _ in placed])
+    bottoms |= lifts
+    tops |= lifts
+    return bottoms, tops
 
 
 @dataclass(frozen=True)

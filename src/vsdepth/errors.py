@@ -46,9 +46,5 @@ class MemberLimitExceeded(BadParameters):
     """A certificate would have more members than the verifier holds."""
 
 
-class DepthMismatch(VsdepthError):
-    pass
-
-
 class CertificateFormatError(VsdepthError):
     pass

@@ -18,6 +18,7 @@ from vsdepth.blocks import (
     f_int_masks,
     verify_block_structure,
 )
+from vsdepth.construct import construct_c2, construct_c3, construct_c4
 from vsdepth.errors import (
     BadParameters,
     CertificateFormatError,
@@ -406,6 +407,29 @@ def gap_witness_reference(cert) -> tuple | None:
             return ("gap-at-rank", t, int(missing[0]))
     return None
 
+
+def compose_reference(n: int, d: int, memo: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The bottoms and tops of ``construct_general(n, d)`` by the
+    recursive splice: (n-1, d) as it is, then (n-1, d-1) with the point n
+    added, each cell built once, down to the full ring at d = 0, no
+    interval for c = min(floor((n+1)/(d+1)), 4) < 2, and the c-base at
+    n = cd+c-1."""
+    memo = {} if memo is None else memo
+    if (n, d) not in memo:
+        c = min((n + 1) // (d + 1), 4)
+        if d == 0:
+            memo[n, d] = np.array([0]), np.array([(1 << n) - 1])
+        elif c < 2:
+            memo[n, d] = np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+        elif n == c * d + c - 1:
+            cert = {2: construct_c2, 3: construct_c3, 4: construct_c4}[c](d)
+            memo[n, d] = cert.bottom_masks, cert.top_masks
+        else:
+            b2, t2 = compose_reference(n - 1, d, memo)
+            b1, t1 = compose_reference(n - 1, d - 1, memo)
+            bit = np.int64(1 << (n - 1))
+            memo[n, d] = np.concatenate([b2, b1 | bit]), np.concatenate([t2, t1 | bit])
+    return memo[n, d]
 
 
 def parse_certificate_reference(text: str) -> Certificate:

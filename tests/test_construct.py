@@ -1,8 +1,7 @@
-import gc
 import itertools
 import math
 import time
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from vsdepth.blocks import Density, f_delta, f_int_masks
 from vsdepth.construct import (
     bounds,
     chain_successor_bits,
-    compose_plus1,
     construct_c2,
     construct_c3,
     construct_c4,
@@ -22,7 +20,7 @@ from vsdepth.construct import (
     full_ring_certificate,
     plan,
 )
-from vsdepth.errors import BadParameters, DepthMismatch, MatchingFailed, UniverseOutOfRange
+from vsdepth.errors import BadParameters, MatchingFailed
 from vsdepth.intervals import Certificate, verify_certificate
 from vsdepth.setcore import (
     format_masks,
@@ -33,6 +31,7 @@ from vsdepth.setcore import (
 
 from oracles import (
     chain_successor_bits_reference,
+    compose_reference,
     has_covered_superset,
     uncovered_reference,
 )
@@ -330,51 +329,6 @@ class TestCompose:
         report = verify_certificate(cert)
         assert report.valid and report.achieved_depth == 3
 
-    def test_three_zero_plus_three_one(self):
-        composed = compose_plus1(Certificate.from_arrays(3, 0, 2, [0], [0b111]),
-                                 construct_c2(1))
-        assert composed.universe_size == 4
-        assert composed.min_generator_size == 1
-        report = verify_certificate(composed)
-        assert report.valid and report.achieved_depth == 2
-        pairs = set(zip(format_masks(composed.bottom_masks),
-                        format_masks(composed.top_masks)))
-        assert ("{4}", "{1,2,3,4}") in pairs
-
-    # compose_plus1 only splices; a defect in an input shows in the result
-    def test_duplicated_p2_interval_overlaps(self):
-        p2 = construct_c2(1)
-        p2 = Certificate.from_arrays(
-            3, 1, 2,
-            np.append(p2.bottom_masks, p2.bottom_masks[0]),
-            np.append(p2.top_masks, p2.top_masks[0]),
-        )
-        p1 = Certificate.from_arrays(3, 0, 2, [0], [0b111])
-        report = verify_certificate(compose_plus1(p1, p2))
-        assert not report.valid and report.first_violation[0] == "overlap"
-
-    def test_overlapping_p1_overlaps(self):
-        # [{}, [3]] and [{1}, [3]] share every set containing 1
-        p1 = Certificate.from_arrays(
-            3, 0, 2,
-            np.array([0b000, 0b001], dtype=np.int64),
-            np.array([0b111, 0b111], dtype=np.int64),
-        )
-        report = verify_certificate(compose_plus1(p1, construct_c2(1)))
-        assert not report.valid and report.first_violation[0] == "overlap"
-
-    def test_depth_precondition(self):
-        # p1 one short of p2's depth is required, deeper p2 must fail
-        shallow = Certificate.from_arrays(5, 0, 1, [0], [0b11111])
-        with pytest.raises(DepthMismatch):
-            compose_plus1(shallow, construct_c3(1))
-
-    def test_universe_past_63_is_refused(self):
-        # the new point 64 has no bit in an int64 mask
-        with pytest.raises(UniverseOutOfRange):
-            compose_plus1(full_ring_certificate(63),
-                          Certificate.from_arrays(63, 1, 1, [], []))
-
 
 class TestConstructGeneral:
     def test_examples(self):
@@ -413,28 +367,45 @@ class TestConstructGeneral:
         cert = construct_general(n, d)
         assert len(calls) == 1 and calls[0] is cert
 
-    def test_build_tree_freed_before_verifying(self, monkeypatch):
-        # with the cyclic GC off, a composed certificate lives on only if
-        # something still refers to it, such as the build cache
-        made, alive = [], []
+    @pytest.mark.parametrize("n,d", [
+        *((n, d) for n in range(1, 17) for d in range(1, n + 1)),
+        (22, 6), (23, 8), (24, 9),
+    ])
+    def test_layout_matches_reference(self, n, d):
+        cert = construct_general(n, d)
+        bottoms, tops = compose_reference(n, d)
+        assert np.array_equal(cert.bottom_masks, bottoms)
+        assert np.array_equal(cert.top_masks, tops)
 
-        def recording(p1, p2):
-            cert = compose_plus1(p1, p2)
-            made.append(weakref.ref(cert))
-            return cert
+    @pytest.mark.parametrize("n,d", [(21, 3), (24, 9)])
+    def test_layout_needs_no_sort(self, n, d, monkeypatch):
+        # the leaves are placed in (bottom, top) order, so from_arrays
+        # keeps the spliced arrays as they are
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.lexsort on the spliced layout")
+
+        monkeypatch.setattr(np, "lexsort", refuse)
+        assert construct_general(n, d).num_explicit > 0
+
+    def test_build_peak_before_verifying(self, monkeypatch):
+        # the build writes each interval once: it holds the result and
+        # one array of lifts, not a certificate per composed cell
+        peaks = []
 
         def checking(cert):
-            alive.extend(ref for ref in made if ref() is not None and ref() is not cert)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
             return verify_certificate(cert)
 
-        monkeypatch.setattr(construct, "compose_plus1", recording)
         monkeypatch.setattr(construct, "verify_certificate", checking)
-        gc.disable()
+        plan(23, 8)  # fill plan's table before tracing
+        tracemalloc.start()
         try:
-            construct_general(21, 3)
+            cert = construct_general(23, 8)
         finally:
-            gc.enable()
-        assert len(made) > 1 and not alive, f"{len(alive)} of {len(made)} alive"
+            tracemalloc.stop()
+        final = cert.bottom_masks.nbytes + cert.top_masks.nbytes
+        assert peaks[0] <= 2 * final, f"peak {peaks[0] / final:.2f}x the certificate"
 
     def test_invalid_base_is_internal_error(self, monkeypatch):
         # (6,1) composes c3(1); its missing interval leaves a gap in the result
@@ -496,7 +467,6 @@ class TestPlan:
             raise AssertionError("a certificate was built")
 
         monkeypatch.setattr(construct, "full_ring_certificate", build)
-        monkeypatch.setattr(construct, "compose_plus1", build)
         for c in (2, 3, 4):
             monkeypatch.setitem(construct._BASE_BUILDERS, c, build)
         plan.cache_clear()

@@ -613,9 +613,9 @@ def mixed_certificates(draw):
     """A random certificate over [n], n <= 10 and d <= 2, where cubes
     are common, that mixes cubes with narrow intervals: the intervals of
     ``construct_general``, or a random interval partition of the sets of
-    size >= d, built as ``compose_plus1`` builds one, with each degree-0
-    part kept as its one cube or, one time in four, split on its top
-    point; then some intervals, the widest more often, dropped,
+    size >= d, spliced as ``construct_general`` lays one out, with each
+    degree-0 part kept as its one cube or, one time in four, split on its
+    top point; then some intervals, the widest more often, dropped,
     duplicated, or joined by an interval inside them."""
     n = draw(st.integers(2, 10))
     d = draw(st.integers(1, 2))
