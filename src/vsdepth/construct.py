@@ -26,7 +26,7 @@ import numpy as np
 
 from .blocks import chain_successor_bits, f_int_masks
 from .intervals import Certificate, check_cell, check_members, verify_certificate
-from .setcore import size_masks_array, slices
+from .setcore import size_masks_array
 
 
 def construct_c2(d: int) -> Certificate:
@@ -83,20 +83,12 @@ def construct_c4(d: int) -> Certificate:
     del uncovered
     matched = np.left_shift(1, chain_successor_bits(v1, n), dtype=np.int64)
     matched |= v1
-    # the bottoms are two ascending runs of distinct ranks: each cube goes
-    # after the edges whose bottoms are smaller, and the edges fill the
-    # other slots in order, so the merge is in (bottom, top) order
-    all_bottoms = np.empty(len(bottoms) + len(v1), dtype=np.int64)
-    all_tops = np.empty_like(all_bottoms)
-    edge = np.ones(len(all_bottoms), dtype=bool)
-    for part in slices(len(bottoms)):
-        at = np.searchsorted(v1, bottoms[part])
-        at += np.arange(part.start, part.stop)
-        all_bottoms[at] = bottoms[part]
-        all_tops[at] = tops[part]
-        edge[at] = False
-    all_bottoms[edge] = v1
-    all_tops[edge] = matched
+    # the bottoms are two ascending runs of distinct ranks, so inserting
+    # each cube before the first edge whose bottom is larger (a d-set
+    # never equals a (d+2)-set) merges them in (bottom, top) order
+    at = np.searchsorted(v1, bottoms)
+    all_bottoms = np.insert(v1, at, bottoms)
+    all_tops = np.insert(matched, at, tops)
     return Certificate.from_arrays(n, d, d + 3, all_bottoms, all_tops)
 
 

@@ -11,6 +11,7 @@ certificates with millions of intervals stay cheap to build and check.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
@@ -135,7 +136,11 @@ class Certificate:
         cls, n: int, d: int, k: int, bottoms: np.ndarray, tops: np.ndarray
     ) -> "Certificate":
         """Certificate with the intervals in (bottom, top) order; arrays
-        already in that order are kept, not copied."""
+        already in that order are kept, not copied.  d = 0 is allowed, for
+        the full ring."""
+        if not (1 <= n <= MAX_UNIVERSE and 0 <= d <= k <= n):
+            raise BadParameters(f"need 1 <= n <= {MAX_UNIVERSE} and 0 <= d <= k <= n, "
+                                f"got n={n}, d={d}, k={k}")
         return cls(n, d, k, *_ordered(np.asarray(bottoms, dtype=np.int64),
                                       np.asarray(tops, dtype=np.int64)))
 
@@ -300,21 +305,15 @@ def _least_missing(n: int, t: int, bottoms: np.ndarray, tops: np.ndarray) -> int
     high | R, R a j-subset of [m], come first in colex order among the
     t-sets whose points above m are ``high``, so the number of them that
     no interval covers never falls as m grows: the next point down is the
-    least m at which it is positive, found by binary search.  It is
-    C(m, j) less ``_covered`` of the intervals cut to [m] whose top holds
-    ``high`` and whose bottom's points above m lie in it; the others are
-    dropped as each point is fixed.
+    least m at which it is positive, found by ``bisect`` over m in j..hi.
+    It is C(m, j) less ``_covered`` of the intervals cut to [m] whose top
+    holds ``high`` and whose bottom's points above m lie in it; the
+    others are dropped as each point is fixed.
     """
     high, hi = 0, n
     for j in range(t, 0, -1):
-        lo = j
-        while lo < hi:
-            m = (lo + hi) // 2
-            shapes, _ = _shapes(bottoms, tops, m=m, high=high)
-            if _covered(shapes, j) < math.comb(m, j):
-                hi = m
-            else:
-                lo = m + 1
+        hi = bisect.bisect_left(range(hi), True, lo=j, key=lambda m: _covered(
+            _shapes(bottoms, tops, m=m, high=high)[0], j) < math.comb(m, j))
         high |= 1 << hi - 1
         hi -= 1
         kept = (high & ~tops == 0) & ((bottoms & ~high) >> hi == 0)

@@ -169,10 +169,11 @@ def _element(tok: str, text: str, n: int) -> int:
 
 
 def circ_mask(n: int, i: int, j: int) -> int:
-    if i <= j:
-        return ((1 << (j - i + 1)) - 1) << (i - 1)
-    full = (1 << n) - 1
-    return full & ~circ_mask(n, j + 1, i - 1) if j + 1 <= i - 1 else full
+    """The points of [n] on the clockwise arc from i to j, both in it, or
+    the whole circle when i = j % n + 1: a run of (j - i) % n + 1 bits
+    from bit i - 1, its part past bit n - 1 rotated down to bit 0."""
+    run = ((1 << (j - i) % n + 1) - 1) << (i - 1)
+    return (run | run >> n) & ((1 << n) - 1)
 
 
 def size_masks_array(n: int, t: int) -> np.ndarray:

@@ -87,8 +87,17 @@ class TestNewCertificate:
 
         monkeypatch.setattr(np, "lexsort", refuse)
         for cert in (construct_c2(3), construct_c3(2), construct_c4(2),
-                     parse_certificate(text)):
+                     construct_c4(1), construct_c4(3), construct_c4(4),
+                     construct_c4(5), parse_certificate(text)):
             assert format_certificate(cert).count(b"\n") == cert.num_explicit + 3
+
+    @pytest.mark.parametrize("n, d, k", [(3, 5, 6), (3, 2, 1), (0, 0, 0), (64, 1, 2)])
+    def test_impossible_parameters_refused(self, n, d, k):
+        # d above n, k below d, an empty universe, a universe past 63;
+        # the full ring (d = 0) and trivial leaves (k = d) are built and
+        # verified by the construction tests
+        with pytest.raises(BadParameters, match=r"0 <= d <= k <= n"):
+            Certificate.from_arrays(n, d, k, [], [])
 
 
 class TestVerify:

@@ -117,6 +117,18 @@ class TestCircBlock:
     def test_singleton(self):
         assert circ_members(5, 3, 3) == (3,)
 
+    def test_is_clockwise_walk(self):
+        # every (i, j), n = 1 included; from i = j % n + 1 the walk passes
+        # every point before it reaches j, so full circles are checked too
+        for n in range(1, 11):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    walk, point = 1 << (i - 1), i
+                    while point != j:
+                        point = point % n + 1
+                        walk |= 1 << (point - 1)
+                    assert circ_mask(n, i, j) == walk, (n, i, j)
+
     def test_complementary_runs_partition_circle(self):
         for n in range(2, 9):
             for i in range(1, n + 1):
