@@ -1,10 +1,11 @@
 """Command-line frontend; ``python -m vsdepth`` runs it too.
 
 Exit codes: 0 success / valid / proved; 1 invalid certificate, disproved
-claim or scan discrepancy, and for ``sdepth`` also ``budget-exhausted``
-and ``member-limit``; 2 usage error (bad arguments, parameters out of
-range, a malformed or unreadable file); 3 internal error (any other
-exception, whose traceback goes to stderr).  All output is deterministic.
+claim or scan discrepancy; 2 usage error (bad arguments, parameters out
+of range, an unreadable file or one not in the canonical certificate
+text); 3 internal error (any other exception, whose traceback goes to
+stderr); 4 ``sdepth`` undecided (``budget-exhausted``, ``member-limit``).
+All output is deterministic.
 """
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ def _cmd_sdepth(args: argparse.Namespace) -> int:
         print(f"k={args.k} status={result.status} nodes={result.nodes_explored}")
     if result.certificate is not None and args.out is not None:
         _write_output(format_certificate(result.certificate), args.out)
-    return 0 if result.status == "proved" else 1
+    return {"proved": 0, "disproved": 1}.get(result.status, 4)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:

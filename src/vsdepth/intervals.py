@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ from .setcore import (
     MAX_UNIVERSE,
     PointSet,
     literal_width,
-    parse_masks,
     popcount_array,
     slices,
     write_literals,
@@ -42,10 +41,11 @@ FILE_TERMINATOR = "trivial-completion"
 
 # The canonical layout that ``format_certificate`` writes, as
 # ``parse_certificate`` reads it byte by byte: the header and parameter
-# lines, then lines ``interval {a,b} {c}`` with single spaces and members
-# of one or two digits without a leading zero, then the terminator.
+# lines, then lines ``interval {a,b} {c}`` with single spaces, then the
+# terminator; each number has one or two digits and no leading zero.
+_HEADER_LINE = f"{FILE_HEADER}\n".encode()
 _CANONICAL_HEAD = re.compile(
-    re.escape(FILE_HEADER.encode()) + rb"\nn=(\d+) d=(\d+) k=(\d+)\n"
+    re.escape(_HEADER_LINE) + rb"n=([1-9]\d?) d=([1-9]\d?) k=([1-9]\d?)\n"
 )
 _CANONICAL_TAIL = f"\n{FILE_TERMINATOR}\n".encode()
 _LINE_START = np.frombuffer(b"interval {", dtype=np.uint8)
@@ -116,7 +116,7 @@ _MEMBER_BIT = np.concatenate(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class Certificate:
     """An interval partition of the rank >= d subsets of [n].
 
@@ -141,8 +141,19 @@ class Certificate:
         if not (1 <= n <= MAX_UNIVERSE and 0 <= d <= k <= n):
             raise BadParameters(f"need 1 <= n <= {MAX_UNIVERSE} and 0 <= d <= k <= n, "
                                 f"got n={n}, d={d}, k={k}")
-        return cls(n, d, k, *_ordered(np.asarray(bottoms, dtype=np.int64),
-                                      np.asarray(tops, dtype=np.int64)))
+        bottoms = np.asarray(bottoms, dtype=np.int64)
+        tops = np.asarray(tops, dtype=np.int64)
+        if bottoms.ndim != 1 or bottoms.shape != tops.shape:
+            raise BadParameters(f"need 1-d bottoms and tops of equal length, "
+                                f"got shapes {bottoms.shape} and {tops.shape}")
+        return cls(n, d, k, *_ordered(bottoms, tops))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal iff n, d, k and both mask arrays are equal; unhashable."""
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def num_explicit(self) -> int:
@@ -514,38 +525,33 @@ def format_certificate(cert: Certificate) -> bytes:
     return b"".join(parts)
 
 
-def _interval_literals(lines: list[str]):
-    """The bottom and top literal of each interval line, in turn."""
-    for line in lines:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "interval":
-            raise CertificateFormatError(f"bad interval line: {line!r}")
-        yield parts[1]
-        yield parts[2]
-
-
 def parse_certificate(data: bytes | str) -> Certificate:
-    """Certificate from its text, as bytes or str; refuses parameters
-    outside 1 <= d <= k <= n <= 63, malformed lines or set literals, and
-    bytes that are not UTF-8.
-
-    Text in the canonical layout of ``format_certificate`` is read as one
-    byte buffer by ``_canonical_masks``, a slice of lines at a time; CR LF
-    line ends are first made LF, as ``_parse_lenient`` splits on both.
-    Any other text, such as ``{03,+2}``, is read whole by
-    ``_parse_lenient``, literal by literal.
-    """
+    """Certificate from its text, as bytes or str (a str is encoded once):
+    exactly what ``format_certificate`` writes, with LF or CR LF line ends
+    (made LF first) and 1 <= d <= k <= n <= 63.  The interval lines are
+    read by ``_canonical_body``; any other text raises
+    CertificateFormatError, naming the first bad interval line."""
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
     lf = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
+    if not lf.startswith(_HEADER_LINE):
+        raise CertificateFormatError(f"missing {FILE_HEADER} header")
     head = _CANONICAL_HEAD.match(lf)
-    if head is not None and lf.endswith(_CANONICAL_TAIL):
-        n, d, k = map(int, head.groups())
-        if _in_domain(n, d, k):
-            body_end = len(lf) - len(_CANONICAL_TAIL) + 1
-            intervals = _canonical_body(lf, head.end(), body_end, n)
-            if intervals is not None:
-                return Certificate.from_arrays(n, d, k, *intervals)
-    return _parse_lenient(raw)
+    if head is None:
+        raise CertificateFormatError(f"bad parameter line: {_quote(lf, len(_HEADER_LINE))}")
+    n, d, k = map(int, head.groups())
+    if not _in_domain(n, d, k):
+        raise CertificateFormatError(f"parameters outside 1 <= d <= k <= n <= {MAX_UNIVERSE}: "
+                                     f"{_quote(lf, len(_HEADER_LINE))}")
+    if not lf.endswith(_CANONICAL_TAIL):
+        raise CertificateFormatError(f"missing {FILE_TERMINATOR} terminator")
+    body_end = len(lf) - len(_CANONICAL_TAIL) + 1
+    return Certificate.from_arrays(n, d, k, *_canonical_body(lf, head.end(), body_end, n))
+
+
+def _quote(raw: bytes, start: int) -> str:
+    """Up to 80 bytes of the line of ``raw`` at ``start``, quoted for a
+    message, a byte past ASCII as ``\\xNN``."""
+    return ascii(raw[start:start + 80].partition(b"\n")[0].decode("latin-1"))
 
 
 def _in_domain(n: int, d: int, k: int) -> bool:
@@ -555,9 +561,9 @@ def _in_domain(n: int, d: int, k: int) -> bool:
 
 def _canonical_body(raw: bytes, start: int, end: int, n: int):
     """The bottom and top masks of the interval lines in raw[start:end],
-    read in slices of about ``setcore._SLICE`` bytes cut at line ends,
-    so that only one slice's index arrays exist at a time; None unless
-    every line is canonical."""
+    file lines 3 on, read in slices of about ``setcore._SLICE`` bytes cut
+    at line ends so that one slice's index arrays exist at a time; the
+    first bad line is refused by its number, found by bisection."""
     count = raw.count(b"\n", start, end)
     bottoms = np.empty(count, dtype=np.int64)
     tops = np.empty(count, dtype=np.int64)
@@ -568,7 +574,13 @@ def _canonical_body(raw: bytes, start: int, end: int, n: int):
                 or raw.find(b"\n", start, end) + 1)
         masks = _canonical_masks(buffer[start:stop], n)
         if masks is None:
-            return None
+            # a run of lines is canonical iff each of its lines is
+            ends = np.flatnonzero(buffer[start:stop] == ord("\n")) + 1
+            bad = bisect.bisect_left(range(len(ends)), True, key=lambda i: _canonical_masks(
+                buffer[start:start + ends[i]], n) is None)
+            raise CertificateFormatError(
+                f"line {done + 3 + bad} is not a canonical interval line: "
+                f"{_quote(raw, start + (int(ends[bad - 1]) if bad else 0))}")
         lines = len(masks) // 2
         bottoms[done:done + lines] = masks[0::2]
         tops[done:done + lines] = masks[1::2]
@@ -624,29 +636,3 @@ def _canonical_masks(chunk: np.ndarray, n: int) -> Optional[np.ndarray]:
     bits = _MEMBER_BIT[values]
     literal_starts = np.concatenate(([0], np.flatnonzero(closing)[:-1] + 1))
     return np.bitwise_or.reduceat(bits, literal_starts)
-
-
-def _parse_lenient(raw: bytes) -> Certificate:
-    """The certificate in ``raw`` read line by line and literal by
-    literal, with every spelling ``parse_masks`` accepts and a message
-    for every refusal."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CertificateFormatError(f"certificate is not UTF-8 text: {exc}") from exc
-    lines = text.splitlines()
-    if len(lines) < 3 or lines[0] != FILE_HEADER:
-        raise CertificateFormatError(f"missing {FILE_HEADER} header")
-    try:
-        fields = dict(part.split("=", 1) for part in lines[1].split())
-        n, d, k = int(fields["n"]), int(fields["d"]), int(fields["k"])
-    except (ValueError, KeyError) as exc:
-        raise CertificateFormatError(f"bad parameter line: {lines[1]!r}") from exc
-    if not _in_domain(n, d, k):
-        raise CertificateFormatError(
-            f"parameters outside 1 <= d <= k <= n <= {MAX_UNIVERSE}: {lines[1]!r}"
-        )
-    if lines[-1] != FILE_TERMINATOR:
-        raise CertificateFormatError(f"missing {FILE_TERMINATOR} terminator")
-    masks = parse_masks(_interval_literals(lines[2:-1]), n)
-    return Certificate.from_arrays(n, d, k, masks[0::2], masks[1::2])

@@ -126,7 +126,7 @@ class TestConstructVerifyRender:
         )
         assert run([command, "--cert", str(cert_path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "UTF-8" in captured.err
+        assert captured.out == "" and "line 3 is not a canonical interval line" in captured.err
 
     def test_universe_above_63_refused(self, capsys):
         assert run(["construct", "--n", "64", "--d", "63"]) == 2
@@ -255,7 +255,7 @@ class TestSdepth:
         code, out, _, secs = run_capped(
             "sdepth", "--n", 26, "--d", 1, "--k", 13, "--budget-secs", 1
         )
-        assert code == 1 and out.startswith("k=13 status=budget-exhausted")
+        assert code == 4 and out.startswith("k=13 status=budget-exhausted")
         assert secs < 3.0
 
     def test_past_member_limit_refused(self):
@@ -283,7 +283,7 @@ class TestSdepth:
         # 1.0e8 members, spends the one budget, so the lower bound is d
         code, out, _, secs = run_capped("sdepth", "--n", 40, "--d", 2,
                                         "--budget-secs", 0.2, timeout=60.0)
-        assert code == 1
+        assert code == 4
         assert re.fullmatch(r"sdepth>=2 status=member-limit nodes=\d+\n", out)
         # the 0.2 s budget plus the interpreter's start
         assert secs < 2.0

@@ -99,6 +99,23 @@ class TestNewCertificate:
         with pytest.raises(BadParameters, match=r"0 <= d <= k <= n"):
             Certificate.from_arrays(n, d, k, [], [])
 
+    @pytest.mark.parametrize("bottoms, tops", [
+        ([1, 2, 4], [3, 6]), ([[1, 2]], [[3, 6]]), ([1, 2, 4], [3, 6, 5, 7]),
+    ])
+    def test_unequal_or_nested_arrays_refused(self, bottoms, tops):
+        # refused before the verifier could broadcast one against the other
+        shapes = f"got shapes {np.shape(bottoms)} and {np.shape(tops)}"
+        with pytest.raises(BadParameters, match=re.escape(shapes)):
+            Certificate.from_arrays(5, 1, 2, bottoms, tops)
+
+    def test_compares_by_value(self):
+        cert = construct_c2(2)
+        dropped = Certificate.from_arrays(5, 2, 3, cert.bottom_masks[1:], cert.top_masks[1:])
+        other_k = Certificate.from_arrays(5, 2, 2, cert.bottom_masks, cert.top_masks)
+        assert cert == construct_c2(2)
+        assert cert != dropped and dropped != cert
+        assert cert != other_k
+
 
 class TestVerify:
     def test_c2_certificate_valid(self):
@@ -778,7 +795,10 @@ class TestFileFormat:
             assert np.array_equal(back.top_masks, cert.top_masks)
             assert format_certificate(back) == text
 
-    @pytest.mark.parametrize("params", ["n=3 d=5 k=5", "n=70 d=2 k=2", "n=4 d=2 k=1"])
+    @pytest.mark.parametrize("params", ["n=3 d=5 k=5", "n=70 d=2 k=2", "n=4 d=2 k=1",
+                                        # past the digits int() converts
+                                        pytest.param("n=" + "9" * 5000 + " d=2 k=2",
+                                                     id="n-of-5000-digits")])
     def test_parameters_outside_domain(self, params):
         with pytest.raises(CertificateFormatError):
             parse_certificate(f"VSDEPTH-CERT v1\n{params}\ntrivial-completion\n")
@@ -899,9 +919,8 @@ class TestParseAgainstReference:
         n = int(re.search(r"n=(\d+)", text)[1])
         for _ in range(rounds):
             text = mutate(text, n, data)
-        expected = parse_outcome(parse_certificate_reference, text)
-        assert parse_outcome(parse_certificate, text.encode()) == expected
-        assert parse_outcome(parse_certificate, text) == expected
+        refusal_against_reference(text)
+        refusal_against_reference(text, as_str=True)
 
     @pytest.mark.parametrize("line", [
         "interval {1} {1,2}",
@@ -940,57 +959,103 @@ class TestParseAgainstReference:
     @pytest.mark.parametrize("n", [12, 63])
     def test_near_canonical_lines(self, line, n):
         text = f"VSDEPTH-CERT v1\nn={n} d=1 k=2\ninterval {{2}} {{2,3}}\n{line}\ntrivial-completion\n"
-        expected = parse_outcome(parse_certificate_reference, text)
-        assert parse_outcome(parse_certificate, text.encode()) == expected
+        refusal = refusal_against_reference(text)
+        assert refusal is None or str(refusal).startswith(
+            "line 4 is not a canonical interval line: ")
 
-    @pytest.mark.parametrize("head, tail", [
-        ("VSDEPTH-CERT v1\nn=03 d=1 k=2\n", "trivial-completion\n"),
-        ("VSDEPTH-CERT v1\nn=3 d=1 k=2 \n", "trivial-completion\n"),
-        ("VSDEPTH-CERT v1\nk=2 d=1 n=3\n", "trivial-completion\n"),
-        ("VSDEPTH-CERT v1\nn=3 d=1 k=2\n", "trivial-completion"),
-        ("VSDEPTH-CERT v1\nn=3 d=1 k=2\n", "trivial-completion\n\n"),
-        ("VSDEPTH-CERT v1\nn=2 d=1 k=2\n", "trivial-completion\n"),
-        ("\ufeffVSDEPTH-CERT v1\nn=3 d=1 k=2\n", "trivial-completion\n"),
+    @pytest.mark.parametrize("head, tail, refusal", [
+        ("VSDEPTH-CERT v1\nn=03 d=1 k=2\n", "trivial-completion\n", "bad parameter line"),
+        ("VSDEPTH-CERT v1\nn=3 d=1 k=2 \n", "trivial-completion\n", "bad parameter line"),
+        ("VSDEPTH-CERT v1\nk=2 d=1 n=3\n", "trivial-completion\n", "bad parameter line"),
+        ("VSDEPTH-CERT v1\nn=3 d=1 k=2\n", "trivial-completion", "terminator"),
+        ("VSDEPTH-CERT v1\nn=3 d=1 k=2\n", "trivial-completion\n\n", "terminator"),
+        ("VSDEPTH-CERT v1\nn=2 d=1 k=2\n", "trivial-completion\n", "line 4 "),
+        ("\ufeffVSDEPTH-CERT v1\nn=3 d=1 k=2\n", "trivial-completion\n", "header"),
     ])
-    def test_header_and_terminator_spellings(self, head, tail):
+    def test_header_and_terminator_spellings(self, head, tail, refusal):
+        # only the writer's spelling is read: another field order, a
+        # leading zero, a missing line end or a byte order mark is refused
         text = f"{head}interval {{1}} {{1,2}}\ninterval {{2}} {{2,3}}\ninterval {{3}} {{1,3}}\n{tail}"
-        expected = parse_outcome(parse_certificate_reference, text)
-        assert parse_outcome(parse_certificate, text.encode()) == expected
+        with pytest.raises(CertificateFormatError, match=refusal):
+            parse_certificate(text.encode())
 
     def test_lenient_line_past_the_first_slice(self):
-        # one spelling the byte pass refuses, in the last of several slices
+        # a spelling only the reference reads, in the last of several
+        # slices, is refused by its line number
         text = certificate_text(("c2", 8))
         assert len(text) > 4 * setcore._SLICE
         cut = text.rindex("interval {")
         member = re.search(r"\d+", text[cut:])
         lenient = text[:cut + member.start()] + "0" + text[cut + member.start():]
-        for variant in (text, lenient):
-            expected = parse_outcome(parse_certificate_reference, variant)
-            assert parse_outcome(parse_certificate, variant.encode()) == expected
+        assert refusal_against_reference(text) is None
+        refusal = refusal_against_reference(lenient)
+        line = lenient[cut:].partition("\n")[0]
+        assert str(refusal) == (f"line {text.count(chr(10), 0, cut) + 1} is not a "
+                                f"canonical interval line: {line!r}")
 
     def test_not_utf8(self):
-        with pytest.raises(CertificateFormatError, match="UTF-8"):
+        with pytest.raises(CertificateFormatError,
+                           match=re.escape(r"line 3 is not a canonical interval line: "
+                                           r"'interval {1} {1,\xff}'")):
             parse_certificate(b"VSDEPTH-CERT v1\nn=3 d=1 k=2\ninterval {1} {1,\xff}\n"
                               b"trivial-completion\n")
 
+    def test_stray_zero_in_a_large_file(self, monkeypatch):
+        # the (23, 7) text, 13.4 MB, with a 0 before the first member of its
+        # last interval line: each slice is read once, and the bad one
+        # bisected, so the file is refused in one pass
+        text = certificate_text(("general", 23, 7))
+        cut = text.rindex("interval {") + len("interval {")
+        data = (text[:cut] + "0" + text[cut:]).encode()
+        read = intervals._canonical_masks
+        calls = []
+        monkeypatch.setattr(intervals, "_canonical_masks",
+                            lambda chunk, n: calls.append(len(chunk)) or read(chunk, n))
+        with pytest.raises(CertificateFormatError,
+                           match=f"^line {text.count(chr(10), 0, cut) + 1} is not a canonical "
+                                 r"interval line: 'interval \{0"):
+            parse_certificate(data)
+        slices = len(data) // (setcore._SLICE - 1024) + 1
+        assert len(calls) <= slices + (setcore._SLICE // 10).bit_length()
+        assert sum(calls) < len(data) + 20 * setcore._SLICE
+
+
+def refusal_against_reference(text: str, as_str: bool = False):
+    """Read ``text`` (as bytes, or as str if ``as_str``) with
+    ``parse_certificate``, and return its CertificateFormatError, or None
+    if it accepted.  It must either return the certificate that
+    ``parse_certificate_reference`` returns or refuse, and it must accept
+    every canonical spelling: text that the reference reads and that
+    ``format_certificate`` writes back, up to CR LF line ends."""
+    expected = parse_outcome(parse_certificate_reference, text)
+    canonical = isinstance(expected, tuple) and format_certificate(
+        parse_certificate_reference(text)) == text.replace("\r\n", "\n").encode()
+    try:
+        cert = parse_certificate(text if as_str else text.encode())
+    except CertificateFormatError as exc:
+        assert not canonical, exc
+        return exc
+    assert parse_outcome(lambda _: cert, text) == expected
+    return None
+
 
 @pytest.fixture
-def refuse_lenient(monkeypatch):
-    """Make the literal-by-literal fallback raise, so that only the
-    byte-level pass can read a certificate."""
-    def refuse(raw):
+def refuse_parse_masks(monkeypatch):
+    """Make ``setcore.parse_masks``, the literal-by-literal reader of
+    ``blocks --set``, raise, so that no certificate is read through it."""
+    def refuse(literals, n):
         raise AssertionError("certificate text read literal by literal")
 
-    monkeypatch.setattr(intervals, "_parse_lenient", refuse)
+    monkeypatch.setattr(setcore, "parse_masks", refuse)
 
 
 class TestCanonicalTextTakesTheBytePass:
-    def test_guard_bites(self, refuse_lenient):
-        text = format_certificate(construct_c3(1)).replace(b"{1}", b"{01}")
+    def test_guard_bites(self, refuse_parse_masks):
+        assert not hasattr(intervals, "parse_masks")
         with pytest.raises(AssertionError):
-            parse_certificate(text)
+            setcore.parse_masks(["{1}"], 3)
 
-    def test_crlf_line_ends(self, refuse_lenient):
+    def test_crlf_line_ends(self, refuse_parse_masks):
         cert = construct_c4(5)
         text = format_certificate(cert).replace(b"\n", b"\r\n")
         back = parse_certificate(text)
@@ -998,7 +1063,7 @@ class TestCanonicalTextTakesTheBytePass:
         assert np.array_equal(back.top_masks, cert.top_masks)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_base_constructions(self, d, refuse_lenient, small_slices):
+    def test_base_constructions(self, d, refuse_parse_masks, small_slices):
         # plus no intervals at all, and an empty literal; the small slices
         # make both directions cross slice boundaries
         empty = np.empty(0, dtype=np.int64)
@@ -1012,7 +1077,7 @@ class TestCanonicalTextTakesTheBytePass:
             assert np.array_equal(back.top_masks, cert.top_masks)
             assert format_certificate(back) == text
 
-    def test_largest_universe(self, refuse_lenient):
+    def test_largest_universe(self, refuse_parse_masks):
         # member 63 is bit 62, the top bit an int64 mask may hold
         full = (1 << 63) - 1
         cert = Certificate.from_arrays(63, 1, 63, [1, 1 << 62, 0], [full, 1 << 62, full])
@@ -1022,3 +1087,16 @@ class TestCanonicalTextTakesTheBytePass:
         assert back.bottom_masks.tolist() == [0, 1, 1 << 62]
         assert back.top_masks.tolist() == [full, full, 1 << 62]
         assert format_certificate(back) == text
+
+    def test_everything_written_reads_back(self, refuse_parse_masks):
+        empty = np.empty(0, dtype=np.int64)
+        full = (1 << 63) - 1
+        certs = [construct_general(n, d) for n in range(1, 15) for d in range(1, n + 1)]
+        certs += [build(d) for build in (construct_c2, construct_c3, construct_c4)
+                  for d in (1, 2, 3)]
+        certs += [Certificate.from_arrays(5, 2, 2, empty, empty),
+                  Certificate.from_arrays(63, 1, 63, [1, 1 << 62, 0], [full, 1 << 62, full])]
+        for cert in certs:
+            text = format_certificate(cert)
+            for data in (text, text.replace(b"\n", b"\r\n")):
+                assert parse_certificate(data) == cert
