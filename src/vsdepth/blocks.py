@@ -35,6 +35,7 @@ unmatched '(').
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -69,11 +70,12 @@ class Density:
 
     @classmethod
     def parse(cls, text: str) -> "Density":
-        """Parse ``p/q`` or the integer shorthand ``c``."""
-        parts = text.split("/", 1)
+        """Parse ``p/q`` or the integer shorthand ``c``, in ASCII digits
+        with no sign, space or underscore."""
+        match = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", text)
         try:
-            p, q = int(parts[0]), int(parts[1]) if len(parts) == 2 else 1
-        except ValueError as exc:
+            p, q = int(match[1]), int(match[2] or 1)
+        except (TypeError, ValueError) as exc:  # no match, or past int()'s digits
             raise DensityOutOfRange(f"malformed density {text!r}") from exc
         return cls(p, q)
 

@@ -25,7 +25,7 @@ from .intervals import (
     render_stanley,
     verify_certificate,
 )
-from .setcore import PointSet, format_masks, parse_masks
+from .setcore import PointSet, format_masks, read_literal
 
 
 def _write_output(data: bytes, path: Optional[str]) -> None:
@@ -39,11 +39,11 @@ def _write_output(data: bytes, path: Optional[str]) -> None:
 
 def _cmd_blocks(args: argparse.Namespace) -> int:
     n = args.n
-    A = PointSet(n, int(parse_masks([args.set], n)[0]))
+    A = PointSet(n, read_literal(args.set, n))
     delta = blocks_mod.Density.parse(args.density)
     bs = blocks_mod.block_structure(n, A, delta)
-    blocks = format_masks([b.mask for b in bs.blocks])
-    gaps = format_masks([g.mask if g is not None else 0 for g in bs.gaps])
+    blocks = format_masks([b.mask for b in bs.blocks], n)
+    gaps = format_masks([g.mask if g is not None else 0 for g in bs.gaps], n)
     print(f"blocks {','.join(blocks)}")
     print(f"gaps {','.join(gaps)}")
     print(f"f {A | bs.gap_set()}")

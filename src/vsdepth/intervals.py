@@ -32,6 +32,7 @@ from .setcore import (
     PointSet,
     literal_width,
     popcount_array,
+    read_literals,
     slices,
     write_literals,
 )
@@ -94,26 +95,6 @@ def check_cell(n: int, d: int, k: Optional[int] = None) -> None:
     if not _in_domain(n, d, d if k is None else k):
         got = f"n={n}, d={d}" + ("" if k is None else f", k={k}")
         raise BadParameters(f"need 1 <= d <= k <= n <= {MAX_UNIVERSE}, got {got}")
-
-
-def _pair_values() -> np.ndarray:
-    """Entry [x, y] is the member whose spelling ends in the bytes x y
-    just before a separator: 1..9 after ``{`` or ``,``, 10..99 as two
-    digits with no leading zero; 0 for the `` {`` of an empty literal,
-    and 255 (above every n) for any other pair."""
-    table = np.full((256, 256), 255, dtype=np.uint8)
-    zero = ord("0")
-    table[[ord("{"), ord(",")], zero + 1:zero + 10] = np.arange(1, 10)
-    table[zero + 1:zero + 10, zero:zero + 10] = np.arange(10, 100).reshape(9, 10)
-    table[ord(" "), ord("{")] = 0
-    return table
-
-
-_PAIR_VALUE = _pair_values().reshape(-1)  # indexed by 256 * x + y
-# bit of member v (v - 1), and 0 for the empty literal's value 0
-_MEMBER_BIT = np.concatenate(
-    ([0], np.left_shift(1, np.arange(MAX_UNIVERSE, dtype=np.int64)))
-)
 
 
 @dataclass(eq=False)
@@ -495,7 +476,8 @@ def render_stanley(cert: Certificate) -> str:
 
 def format_certificate(cert: Certificate) -> bytes:
     """Canonical line-oriented certificate text as bytes (round-trip
-    stable).
+    stable); parameters that ``parse_certificate`` refuses, such as the
+    full ring's d = 0, raise BadParameters first.
 
     The interval lines are spelled a slice of about ``setcore._SLICE``
     bytes at a time: each line is one zero-padded uint8 row filled by
@@ -503,6 +485,7 @@ def format_certificate(cert: Certificate) -> bytes:
     ``bytes.translate``.
     """
     n = cert.universe_size
+    check_cell(n, cert.min_generator_size, cert.claimed_depth)
     bottoms, tops = _ordered(cert.bottom_masks, cert.top_masks)
     if bool(np.any((bottoms | tops) >> n)):
         raise ElementOutOfRange(f"an interval has members outside 1..{n}")
@@ -595,12 +578,8 @@ def _canonical_masks(chunk: np.ndarray, n: int) -> Optional[np.ndarray]:
 
     The fixed bytes of each line are found by position: ``interval {``
     at its start, ``}`` just before its line end, and `` {`` after the
-    line's first ``}``; no other ``{`` or ``}`` may occur.  A member is read
-    from the two bytes before each separator (``,`` or ``}``) through
-    ``_PAIR_VALUE``, which admits a digit only after ``{`` or ``,``, and
-    a two-digit member must follow ``{`` or ``,`` too.  So reading back
-    from each ``}`` the members and commas must reach its ``{``, and
-    every byte inside the braces is a digit or a comma.
+    line's first ``}``; no other ``{`` or ``}`` may occur.  The literals
+    are read by ``setcore.read_literals``.
     """
     is_close = chunk == ord("}")
     ends = np.flatnonzero(chunk == ord("\n"))
@@ -616,23 +595,4 @@ def _canonical_masks(chunk: np.ndarray, n: int) -> Optional[np.ndarray]:
         return None
     if np.count_nonzero(chunk == ord("{")) != 2 * len(ends):
         return None
-
-    is_close |= chunk == ord(",")
-    seps = np.flatnonzero(is_close)
-    before = seps - 2
-    pairs = chunk[before].astype(np.intp)
-    pairs <<= 8
-    before += 1
-    pairs |= chunk[before]
-    values = _PAIR_VALUE[pairs]
-    if bool(np.any(values > n)):
-        return None
-    closing = chunk[seps] == ord("}")
-    if bool(np.any((values == 0) & ~closing)):  # "{," opens no literal
-        return None
-    lead = chunk[seps[values >= 10] - 3]
-    if not bool(np.all((lead == ord("{")) | (lead == ord(",")))):
-        return None
-    bits = _MEMBER_BIT[values]
-    literal_starts = np.concatenate(([0], np.flatnonzero(closing)[:-1] + 1))
-    return np.bitwise_or.reduceat(bits, literal_starts)
+    return read_literals(chunk, is_close, n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class PointSet:
     __or__ = union
 
     def __str__(self) -> str:
-        return format_masks([self.mask])[0]
+        return format_masks([self.mask], self.n)[0]
 
 
 def make_set(n: int, elems: list[int] | tuple[int, ...]) -> PointSet:
@@ -118,54 +118,86 @@ def write_literals(out: np.ndarray, masks: np.ndarray, n: int) -> None:
         col += table.shape[1]
 
 
-def format_masks(masks) -> list[str]:
-    """Canonical set literals ``{a,b,c}``, ascending, no whitespace,
-    spelled by ``write_literals``."""
+def format_masks(masks, n: int) -> list[str]:
+    """Canonical set literals ``{a,b,c}`` of masks over [n], ascending, no
+    whitespace, spelled by ``write_literals``."""
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    n = max(int(masks.max(initial=0)).bit_length(), 1)
     rows = np.zeros((len(masks), literal_width(n) + 1), dtype=np.uint8)
     write_literals(rows[:, :-1], masks, n)
     rows[:, -1] = ord("\n")
     return rows.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
-def parse_masks(literals, n: int) -> np.ndarray:
-    """Masks over [n] of set literals, the inverse of ``format_masks``.
+def _pair_values() -> np.ndarray:
+    """Entry [x, y] is the member whose spelling ends in the bytes x y
+    just before a separator: 1..9 after ``{`` or ``,``, 10..99 as two
+    digits with no leading zero; 0 for the `` {`` of an empty literal,
+    and 255 (above every n) for any other pair."""
+    table = np.full((256, 256), 255, dtype=np.uint8)
+    zero = ord("0")
+    table[[ord("{"), ord(",")], zero + 1:zero + 10] = np.arange(1, 10)
+    table[zero + 1:zero + 10, zero:zero + 10] = np.arange(10, 100).reshape(9, 10)
+    table[ord(" "), ord("{")] = 0
+    return table
 
-    Surrounding whitespace is ignored, members may come in any order and
-    may repeat; anything else that is not a ``{...}`` of integers in
-    1..n raises ``ElementOutOfRange``.  ``literals`` may be any iterable;
-    it is read once.
+
+_PAIR_VALUE = _pair_values().reshape(-1)  # indexed by 256 * x + y
+# bit of member v (v - 1), and 0 for the empty literal's value 0
+_MEMBER_BIT = np.concatenate(
+    ([0], np.left_shift(1, np.arange(MAX_UNIVERSE, dtype=np.int64)))
+)
+
+
+def read_literals(chunk: np.ndarray, is_close: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """The mask over [n] of each literal of ``chunk``, uint8, in turn;
+    None unless each is spelled as ``write_literals`` spells it, but for
+    members in any order or repeated.  ``is_close`` marks the chunk's
+    ``}`` bytes, and is overwritten.  The caller has checked that each
+    ``}`` closes one literal, that exactly one ``{`` opens each, and
+    that a space precedes every ``{``.
+
+    A member is read from the two bytes before each separator (``,`` or
+    ``}``) through ``_PAIR_VALUE``, which admits a digit only after
+    ``{`` or ``,``, and a two-digit member must follow ``{`` or ``,``
+    too.  So reading back from each ``}`` the members and commas must
+    reach its ``{``, and every byte inside the braces is a digit or a
+    comma.
     """
+    is_close |= chunk == ord(",")
+    seps = np.flatnonzero(is_close)
+    before = seps - 2
+    pairs = chunk[before].astype(np.intp)
+    pairs <<= 8
+    before += 1
+    pairs |= chunk[before]
+    values = _PAIR_VALUE[pairs]
+    if bool(np.any(values > n)):
+        return None
+    closing = chunk[seps] == ord("}")
+    if bool(np.any((values == 0) & ~closing)):  # "{," opens no literal
+        return None
+    lead = chunk[seps[values >= 10] - 3]
+    if not bool(np.all((lead == ord("{")) | (lead == ord(",")))):
+        return None
+    bits = _MEMBER_BIT[values]
+    literal_starts = np.concatenate(([0], np.flatnonzero(closing)[:-1] + 1))
+    return np.bitwise_or.reduceat(bits, literal_starts)
+
+
+def read_literal(text: str, n: int) -> int:
+    """The mask over [n] of ``text``, one set literal spelled as inside a
+    certificate's braces and read by ``read_literals``: members in 1..n
+    in any order, repeats allowed, and no space, sign, leading zero or
+    other byte; anything else raises ``ElementOutOfRange``."""
     _check_universe(n)
-    bits = {str(i + 1): 1 << i for i in range(n)}
-
-    def masks():
-        for text in literals:
-            text = text.strip()
-            if not (text.startswith("{") and text.endswith("}")):
-                raise ElementOutOfRange(f"malformed set literal {text!r}")
-            mask = 0
-            if len(text) > 2:
-                for tok in text[1:-1].split(","):
-                    bit = bits.get(tok)
-                    if bit is None:
-                        bit = 1 << (_element(tok, text, n) - 1)
-                    mask |= bit
-            yield mask
-
-    return np.fromiter(masks(), dtype=np.int64)
-
-
-def _element(tok: str, text: str, n: int) -> int:
-    """A member written other than canonically, such as ``03``."""
-    try:
-        e = int(tok)
-    except ValueError as exc:
-        raise ElementOutOfRange(f"malformed set literal {text!r}") from exc
-    if not 1 <= e <= n:
-        raise ElementOutOfRange(f"element {e} not in 1..{n}")
-    return e
+    raw = b" " + text.encode("utf-8", "surrogatepass")
+    masks = None
+    if raw.startswith(b" {") and raw.endswith(b"}") and raw.count(b"{") == raw.count(b"}") == 1:
+        chunk = np.frombuffer(raw, dtype=np.uint8)
+        masks = read_literals(chunk, chunk == ord("}"), n)
+    if masks is None:
+        raise ElementOutOfRange(f"not a set literal over 1..{n}: {text!r}")
+    return int(masks[0])
 
 
 def circ_mask(n: int, i: int, j: int) -> int:

@@ -252,8 +252,12 @@ def certify_at_least(n: int, d: int, k: int, budget: SearchBudget) -> SolveResul
         return SolveResult("budget-exhausted", k, None, searcher.nodes)
     if not found:
         return SolveResult("disproved", k, None, searcher.nodes)
+    # the covered sets are freed before the arrays are built, and the
+    # chosen list before they are verified, so neither adds to either peak
+    searcher.occupied = None
     bottoms = np.array([b for b, _ in searcher.chosen], dtype=np.int64)
     tops = np.array([t for _, t in searcher.chosen], dtype=np.int64)
+    searcher.chosen = None
     cert = _verified(Certificate.from_arrays(n, d, k, bottoms, tops))
     status = "proved" if cert is not None else "member-limit"
     return SolveResult(status, k, cert, searcher.nodes)

@@ -93,7 +93,9 @@ class TestDensity:
     def test_parse(self):
         assert Density.parse("5/2") == Density(5, 2)
         assert Density.parse("3") == Density(3, 1)
-        for text in ("x", "3/", "a/2", "3/2/1"):
+        assert Density.parse("6/4") == Density(3, 2)
+        for text in ("x", "3/", "a/2", "3/2/1", "", "/2", " 3/2 ", "+3", "3/+2", "-3",
+                     "3_0/2_0", "\u0663", "3\n", "3 /2", "3.0"):
             with pytest.raises(DensityOutOfRange):
                 Density.parse(text)
 

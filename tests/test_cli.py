@@ -46,6 +46,18 @@ class TestBlocks:
             "f {1,2,3,4,5,6,7,8}",
         ]
 
+    @pytest.mark.parametrize("text", [" {1,4}", "{01}", "{+1}", "{1, 4}", "", "{9}"])
+    def test_set_spelled_otherwise_is_usage_error(self, text, capsys):
+        assert run(["blocks", "--n", "8", "--set", text, "--density", "3/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(text) in captured.err
+
+    def test_set_in_any_order_with_repeats(self, capsys):
+        assert run(["blocks", "--n", "8", "--set", "{8,5,4,1,1}", "--density", "3/2"]) == 0
+        assert run(["blocks", "--n", "8", "--set", "{1,4,5,8}", "--density", "3/2"]) == 0
+        lines = out_lines(capsys)
+        assert lines[:3] == lines[3:] and len(lines) == 6
+
     def test_integer_density(self, capsys):
         code = run(["blocks", "--n", "5", "--set", "{1}", "--density", "3"])
         assert code == 0

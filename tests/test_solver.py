@@ -138,6 +138,24 @@ class TestCertifyAtLeast:
         assert elapsed < 2.0
         assert peak < 16 * 2**20
 
+    def test_search_state_freed_before_verifying(self, monkeypatch):
+        # at (19, 3, 7) the occupied sets and the list of chosen intervals
+        # take over 6 MB; the certificate's two mask arrays take 0.3 MB
+        held = []
+
+        def verify(cert):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return verify_certificate(cert)
+
+        monkeypatch.setattr(solver, "verify_certificate", verify)
+        tracemalloc.start()
+        try:
+            result = certify_at_least(19, 3, 7, BUDGET)
+        finally:
+            tracemalloc.stop()
+        assert result.status == "proved" and result.certificate.num_explicit == 18411
+        assert held and held[0] < 2**20
+
     @pytest.mark.parametrize("n,d,k", [(29, 1, 15), (40, 2, 14)])
     def test_past_member_limit_refused(self, n, d, k):
         # a certificate covers every set of ranks d..k-1: more than 2^27
