@@ -92,11 +92,6 @@ def construct_c4(d: int) -> Certificate:
     return Certificate.from_arrays(n, d, d + 3, all_bottoms, all_tops)
 
 
-def full_ring_certificate(n: int) -> Certificate:
-    """The (n, 0) base object: the single interval [empty, [n]]."""
-    return Certificate.from_arrays(n, 0, n, [0], [(1 << n) - 1])
-
-
 _BASE_BUILDERS = {2: construct_c2, 3: construct_c3, 4: construct_c4}
 
 class Step(NamedTuple):
@@ -152,14 +147,16 @@ def _leaves(n: int, d: int) -> Iterator[tuple[int, int, int]]:
         stack.append((m - 1, e, lift))
 
 
-def _leaf(m: int, e: int) -> Certificate:
-    """The certificate of a cell that ``plan`` builds without composing."""
+def _leaf(m: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bottoms and tops of a cell that ``plan`` builds without
+    composing; the full ring's are the one interval [empty, [m]]."""
     step = plan(m, e)
     if step.kind == "full":
-        return full_ring_certificate(m)
+        return np.zeros(1, dtype=np.int64), np.full(1, (1 << m) - 1, dtype=np.int64)
     if step.kind == "trivial":
-        return Certificate.from_arrays(m, e, step.depth, [], [])
-    return _BASE_BUILDERS[step.c](e)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    cert = _BASE_BUILDERS[step.c](e)
+    return cert.bottom_masks, cert.top_masks
 
 
 def construct_general(n: int, d: int) -> Certificate:
@@ -175,10 +172,10 @@ def construct_general(n: int, d: int) -> Certificate:
     check_cell(n, d)
     step = plan(n, d)
     check_members(step.members, f"the certificate for n={n}, d={d}")
-    if step.kind == "compose":
-        cert = Certificate.from_arrays(n, d, step.depth, *_splice(n, d))
+    if step.kind == "base":
+        cert = _BASE_BUILDERS[step.c](d)
     else:
-        cert = _leaf(n, d)
+        cert = Certificate.from_arrays(n, d, step.depth, *_splice(n, d))
     report = verify_certificate(cert)
     if not report.valid:
         raise AssertionError(
@@ -190,11 +187,9 @@ def construct_general(n: int, d: int) -> Certificate:
 def _splice(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The bottoms and tops of the composed (n, d), placed leaf by leaf."""
     leaf = functools.cache(_leaf)
-    placed = [(leaf(m, e), lift) for m, e, lift in _leaves(n, d)]
-    bottoms = np.concatenate([cert.bottom_masks for cert, _ in placed])
-    tops = np.concatenate([cert.top_masks for cert, _ in placed])
-    lifts = np.repeat(np.array([lift for _, lift in placed], dtype=np.int64),
-                      [cert.num_explicit for cert, _ in placed])
+    leaf_bottoms, leaf_tops, lifts = zip(*((*leaf(m, e), lift) for m, e, lift in _leaves(n, d)))
+    bottoms, tops = np.concatenate(leaf_bottoms), np.concatenate(leaf_tops)
+    lifts = np.repeat(np.array(lifts, dtype=np.int64), [len(b) for b in leaf_bottoms])
     bottoms |= lifts
     tops |= lifts
     return bottoms, tops

@@ -97,13 +97,17 @@ def check_cell(n: int, d: int, k: Optional[int] = None) -> None:
         raise BadParameters(f"need 1 <= d <= k <= n <= {MAX_UNIVERSE}, got {got}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """An interval partition of the rank >= d subsets of [n].
 
     ``claimed_depth`` is the k being certified: every explicit top has at
     least k points and ranks d..k-1 are covered exactly once, so the
-    implied full partition has minimum top size k.
+    implied full partition has minimum top size k.  Construction refuses
+    parameters outside 1 <= d <= k <= n <= 63 and mask arrays that are not
+    1-d of equal length (BadParameters) or hold a member past n
+    (ElementOutOfRange), and puts the intervals in (bottom, top) order,
+    keeping ordered arrays uncopied.  Frozen, equal by value, unhashable.
     """
 
     universe_size: int
@@ -112,25 +116,30 @@ class Certificate:
     bottom_masks: np.ndarray
     top_masks: np.ndarray
 
-    @classmethod
-    def from_arrays(
-        cls, n: int, d: int, k: int, bottoms: np.ndarray, tops: np.ndarray
-    ) -> "Certificate":
-        """Certificate with the intervals in (bottom, top) order; arrays
-        already in that order are kept, not copied.  d = 0 is allowed, for
-        the full ring."""
-        if not (1 <= n <= MAX_UNIVERSE and 0 <= d <= k <= n):
-            raise BadParameters(f"need 1 <= n <= {MAX_UNIVERSE} and 0 <= d <= k <= n, "
-                                f"got n={n}, d={d}, k={k}")
-        bottoms = np.asarray(bottoms, dtype=np.int64)
-        tops = np.asarray(tops, dtype=np.int64)
+    def __post_init__(self) -> None:
+        n = self.universe_size
+        check_cell(n, self.min_generator_size, self.claimed_depth)
+        bottoms = np.asarray(self.bottom_masks, dtype=np.int64)
+        tops = np.asarray(self.top_masks, dtype=np.int64)
         if bottoms.ndim != 1 or bottoms.shape != tops.shape:
             raise BadParameters(f"need 1-d bottoms and tops of equal length, "
                                 f"got shapes {bottoms.shape} and {tops.shape}")
-        return cls(n, d, k, *_ordered(bottoms, tops))
+        idx = _first(lambda part: (bottoms[part] | tops[part]) >> n != 0, len(bottoms))
+        if idx is not None:
+            raise ElementOutOfRange(f"interval [{int(bottoms[idx])}, {int(tops[idx])}] "
+                                    f"has members outside 1..{n}")
+        bottoms, tops = _ordered(bottoms, tops)
+        object.__setattr__(self, "bottom_masks", bottoms)
+        object.__setattr__(self, "top_masks", tops)
+
+    @classmethod
+    def from_arrays(cls, n: int, d: int, k: int, bottoms: np.ndarray,
+                    tops: np.ndarray) -> "Certificate":
+        """``Certificate(n, d, k, bottoms, tops)``."""
+        return cls(n, d, k, bottoms, tops)
 
     def __eq__(self, other: object) -> bool:
-        """Equal iff n, d, k and both mask arrays are equal; unhashable."""
+        """Equal iff n, d, k and both mask arrays are equal."""
         if not isinstance(other, Certificate):
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
@@ -155,6 +164,10 @@ def _ordered(bottoms: np.ndarray, tops: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 @dataclass
 class VerifyReport:
+    """An invalid verdict has no ``achieved_depth``; its ``first_violation``
+    is a tag and PointSet witness: bottom-not-in-top, bottom-too-small or
+    top-too-small and an end, overlap and a set, or gap-at-rank, t, a set."""
+
     valid: bool
     achieved_depth: Optional[int]
     first_violation: Optional[tuple] = None
@@ -168,17 +181,15 @@ class VerifyReport:
 def verify_certificate(cert: Certificate) -> VerifyReport:
     """Check the partition property and report the achieved depth.
 
-    Valid iff every interval lies in [n], the explicit intervals are
-    pairwise disjoint, every set of size d..k-1 is covered exactly once,
-    and every explicit top has at least k points.  ``rank_coverage``
-    counts the covered sets at every rank d..n once the intervals are
-    found disjoint.  An interval end with members outside [n] is reported
-    as ``("outside-universe", mask)`` with a plain int mask, since no
-    PointSet can hold it.  The size checks read |b| and |t| = |b| + dim
-    off the counts of ``_shapes``; only a failing one scans the ends, to
-    name the first interval that fails it.  Past these checks, a
-    certificate of more members than the verifier holds is refused by
-    ``check_members`` before any member is listed.
+    Valid iff each bottom lies in its top (construction put both in
+    [n]), the explicit intervals are pairwise disjoint, every set of size
+    d..k-1 is covered exactly once, and every explicit top has at least k
+    points.  ``rank_coverage`` counts the covered sets at every rank d..n
+    once the intervals are found disjoint.  The size checks read |b| and
+    |t| = |b| + dim off the counts of ``_shapes``; only a failing one
+    scans the ends, to name the first interval that fails it.  Past these
+    checks, a certificate of more members than the verifier holds is
+    refused by ``check_members`` before any member is listed.
 
     An interval of 2^dim > N members, N the number of intervals, is a
     cube.  Cubes are tested against all N intervals, which costs less
@@ -201,10 +212,6 @@ def verify_certificate(cert: Certificate) -> VerifyReport:
     k = cert.claimed_depth
     bottoms, tops = cert.bottom_masks, cert.top_masks
 
-    idx = _first(lambda part: (bottoms[part] | tops[part]) >> n != 0, len(bottoms))
-    if idx is not None:
-        bad = bottoms[idx] if bottoms[idx] >> n else tops[idx]
-        return VerifyReport(False, None, ("outside-universe", int(bad)))
     idx = _first(lambda part: bottoms[part] & ~tops[part] != 0, len(bottoms))
     if idx is not None:
         return VerifyReport(
@@ -475,20 +482,15 @@ def render_stanley(cert: Certificate) -> str:
 
 
 def format_certificate(cert: Certificate) -> bytes:
-    """Canonical line-oriented certificate text as bytes (round-trip
-    stable); parameters that ``parse_certificate`` refuses, such as the
-    full ring's d = 0, raise BadParameters first.
+    """Canonical line-oriented certificate text as bytes, which
+    ``parse_certificate`` reads back to an equal certificate.
 
     The interval lines are spelled a slice of about ``setcore._SLICE``
     bytes at a time: each line is one zero-padded uint8 row filled by
     ``write_literals``, and the slice's padding is dropped with one
     ``bytes.translate``.
     """
-    n = cert.universe_size
-    check_cell(n, cert.min_generator_size, cert.claimed_depth)
-    bottoms, tops = _ordered(cert.bottom_masks, cert.top_masks)
-    if bool(np.any((bottoms | tops) >> n)):
-        raise ElementOutOfRange(f"an interval has members outside 1..{n}")
+    n, bottoms, tops = cert.universe_size, cert.bottom_masks, cert.top_masks
     width = literal_width(n)
     head = len(_LINE_HEAD)
     row = head + 2 * width + 2

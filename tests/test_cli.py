@@ -120,8 +120,8 @@ class TestConstructVerifyRender:
         assert capsys.readouterr().out == ""
 
     def test_members_outside_universe_refused(self, tmp_path, capsys):
-        # the text path refuses {3} over [2] at parse time, so the
-        # verifier's outside-universe verdict never reaches INVALID
+        # the reader refuses {3} over [2], so no certificate with a member
+        # past n is made, and none reaches the verifier
         cert_path = tmp_path / "cert.txt"
         cert_path.write_text(
             "VSDEPTH-CERT v1\nn=2 d=1 k=2\n"
@@ -325,6 +325,12 @@ class TestScanAndUsage:
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == "" and "budget limits must be positive" in captured.err
+
+    @pytest.mark.parametrize("max_n", ["0", "64"])
+    def test_scan_outside_domain_refused(self, max_n, capsys):
+        assert run(["scan", "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"max_n={max_n} not in 1..63" in captured.err
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2

@@ -17,7 +17,6 @@ from vsdepth.construct import (
     construct_c3,
     construct_c4,
     construct_general,
-    full_ring_certificate,
     plan,
 )
 from vsdepth.errors import BadParameters, MatchingFailed
@@ -325,9 +324,14 @@ class TestBaseConstructions:
 
 class TestCompose:
     def test_full_ring(self):
-        cert = full_ring_certificate(3)
+        # the leaf (3, 0) is the one interval [empty, [3]]; lifted by the
+        # point 4, as (4, 1) places it, it covers each set holding 4 once
+        bottoms, tops = construct._leaf(3, 0)
+        assert (bottoms.tolist(), tops.tolist()) == ([0], [0b111])
+        cert = Certificate.from_arrays(4, 1, 1, bottoms | 0b1000, tops | 0b1000)
         report = verify_certificate(cert)
-        assert report.valid and report.achieved_depth == 3
+        assert report.valid and report.achieved_depth == 1
+        assert report.rank_coverage == {t: math.comb(3, t - 1) for t in range(1, 5)}
 
 
 class TestConstructGeneral:
@@ -466,7 +470,7 @@ class TestPlan:
         def build(*args):
             raise AssertionError("a certificate was built")
 
-        monkeypatch.setattr(construct, "full_ring_certificate", build)
+        monkeypatch.setattr(construct, "_leaf", build)
         for c in (2, 3, 4):
             monkeypatch.setitem(construct._BASE_BUILDERS, c, build)
         plan.cache_clear()

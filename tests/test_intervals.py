@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -17,7 +18,6 @@ from vsdepth.construct import (
     construct_c3,
     construct_c4,
     construct_general,
-    full_ring_certificate,
 )
 from vsdepth.errors import (
     BadParameters,
@@ -60,6 +60,26 @@ def c2_like_certificate():
     return cert_of(3, 1, 2, [([3], [1, 3]), ([1], [1, 2]), ([2], [2, 3])])
 
 
+@st.composite
+def raw_certificates(draw):
+    """(n, d, k, intervals) with n, d and k in and around 1 <= d <= k <=
+    n <= 63, and up to six intervals whose ends are masks of [n], most
+    often, or such masks with a point past n or the sign bit added, or
+    any int64."""
+    n = draw(st.integers(0, 64))
+    d = draw(st.integers(0, n + 1))
+    k = draw(st.integers(d - 1, n + 1))
+    width = min(n, 63)
+    inside = st.integers(0, (1 << width) - 1)
+    end = st.one_of(
+        inside, inside, inside,
+        st.builds(lambda m, p: m | 1 << p, inside, st.integers(min(width, 62), 62)),
+        st.builds(lambda m: m - (1 << 63), inside),
+        st.integers(-(1 << 63), (1 << 63) - 1),
+    )
+    return n, d, k, draw(st.lists(st.tuples(end, end), max_size=6))
+
+
 class TestNewCertificate:
     def test_c2_shape(self):
         cert = c2_like_certificate()
@@ -74,10 +94,10 @@ class TestNewCertificate:
         # ties and negative values included: the skip must agree with the sort
         bottoms = np.array([b for b, _ in pairs], dtype=np.int64)
         tops = np.array([t for _, t in pairs], dtype=np.int64)
-        cert = Certificate.from_arrays(3, 1, 2, bottoms, tops)
+        got_bottoms, got_tops = intervals._ordered(bottoms, tops)
         order = np.lexsort((tops, bottoms))
-        assert cert.bottom_masks.tolist() == bottoms[order].tolist()
-        assert cert.top_masks.tolist() == tops[order].tolist()
+        assert got_bottoms.tolist() == bottoms[order].tolist()
+        assert got_tops.tolist() == tops[order].tolist()
 
     def test_ordered_input_is_not_sorted(self, monkeypatch):
         text = format_certificate(construct_c4(2))
@@ -91,13 +111,15 @@ class TestNewCertificate:
                      construct_c4(5), parse_certificate(text)):
             assert format_certificate(cert).count(b"\n") == cert.num_explicit + 3
 
-    @pytest.mark.parametrize("n, d, k", [(3, 5, 6), (3, 2, 1), (0, 0, 0), (64, 1, 2)])
+    @pytest.mark.parametrize("n, d, k", [(3, 5, 6), (3, 2, 1), (0, 0, 0), (64, 1, 2),
+                                         (3, 0, 3), (3, 0, 0)])
     def test_impossible_parameters_refused(self, n, d, k):
-        # d above n, k below d, an empty universe, a universe past 63;
-        # the full ring (d = 0) and trivial leaves (k = d) are built and
-        # verified by the construction tests
-        with pytest.raises(BadParameters, match=r"0 <= d <= k <= n"):
-            Certificate.from_arrays(n, d, k, [], [])
+        # d above n, k below d, an empty universe, a universe past 63, and
+        # d = 0, which the full ring's interval [empty, [n]] would need: a
+        # construction leaf, not a certificate
+        for make in (Certificate, Certificate.from_arrays):
+            with pytest.raises(BadParameters, match=r"1 <= d <= k <= n <= 63"):
+                make(n, d, k, [], [])
 
     @pytest.mark.parametrize("bottoms, tops", [
         ([1, 2, 4], [3, 6]), ([[1, 2]], [[3, 6]]), ([1, 2, 4], [3, 6, 5, 7]),
@@ -115,6 +137,34 @@ class TestNewCertificate:
         assert cert == construct_c2(2)
         assert cert != dropped and dropped != cert
         assert cert != other_k
+
+    def test_order_free_frozen_and_unhashable(self):
+        cert = construct_c2(2)
+        order = np.random.default_rng(5).permutation(cert.num_explicit)
+        shuffled = Certificate(5, 2, 3, cert.bottom_masks[order], cert.top_masks[order])
+        assert shuffled == cert and shuffled.bottom_masks is not cert.bottom_masks
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cert)
+        for name, value in (("claimed_depth", 4), ("bottom_masks", cert.top_masks)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, name, value)
+        assert cert.claimed_depth == 3 and cert == shuffled
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=raw_certificates())
+    def test_construction_refuses_exactly_the_ill_formed(self, raw):
+        # what construction accepts, a file states: it reads back equal
+        n, d, k, pairs = raw
+        bottoms, tops = [b for b, _ in pairs], [t for _, t in pairs]
+        if not 1 <= d <= k <= n <= 63:
+            with pytest.raises(BadParameters):
+                Certificate(n, d, k, bottoms, tops)
+        elif any((b | t) >> n for b, t in pairs):
+            with pytest.raises(ElementOutOfRange):
+                Certificate(n, d, k, bottoms, tops)
+        else:
+            cert = Certificate(n, d, k, bottoms, tops)
+            assert parse_certificate(format_certificate(cert)) == cert
 
 
 class TestVerify:
@@ -145,8 +195,12 @@ class TestVerify:
     @staticmethod
     def pair_verdict(n, b1, t1, b2, t2):
         """The verifier's violation tag for two intervals over [n], or
-        None; with d = k = 0 only an overlap can be reported."""
-        report = verify_certificate(Certificate.from_arrays(n, 0, 0, [b1, b2], [t1, t2]))
+        None: both get the point n+1 and are checked over [n+1] at
+        d = k = 1, where only an overlap can be reported, and they meet
+        iff they met without it."""
+        p = 1 << n
+        report = verify_certificate(
+            Certificate.from_arrays(n + 1, 1, 1, [b1 | p, b2 | p], [t1 | p, t2 | p]))
         return None if report.valid else report.first_violation[0]
 
     def test_overlap_matches_exhaustive_small(self):
@@ -193,20 +247,18 @@ class TestVerify:
             assert total == sum(math.comb(n, t) for t in range(d, k))
 
     def test_single_high_dimensional_interval(self):
-        # one interval of dimension 17, alone and with a second one inside it
-        cert = full_ring_certificate(17)
+        # one interval of dimension 17, [{18}, [18]], alone and with a
+        # second one inside it
+        point, full = 1 << 17, (1 << 18) - 1
+        cert = Certificate.from_arrays(18, 1, 1, [point], [full])
         report = verify_certificate(cert)
-        assert report.valid and report.achieved_depth == 17
-        assert report.rank_coverage[8] == math.comb(17, 8)
-        overlapping = Certificate.from_arrays(
-            17, 0, 17,
-            np.append(cert.bottom_masks, 0b1),
-            np.append(cert.top_masks, cert.top_masks[0]),
-        )
+        assert report.valid and report.achieved_depth == 1
+        assert report.rank_coverage[9] == math.comb(17, 8)
+        overlapping = Certificate.from_arrays(18, 1, 1, [point, point | 0b1], [full, full])
         report = verify_certificate(overlapping)
         assert not report.valid
         tag, witness = report.first_violation
-        assert tag == "overlap" and witness.members() == (1,)
+        assert tag == "overlap" and witness.members() == (1, 18)
 
     def test_empty_certificate_high_rank_gap(self):
         # the missing 39-set is found without building the middle ranks of [40]
@@ -296,9 +348,10 @@ class TestVerify:
         ([0b01, 0b10], [0b11, -(1 << 63) | 0b10], -(1 << 63) | 0b10),
     ])
     def test_members_outside_universe(self, bottoms, tops, bad):
-        report = verify_certificate(Certificate.from_arrays(2, 1, 2, bottoms, tops))
-        assert not report.valid and report.achieved_depth is None
-        assert report.first_violation == ("outside-universe", bad)
+        # refused where the certificate is made, naming the interval
+        with pytest.raises(ElementOutOfRange, match=r"has members outside 1\.\.2") as refused:
+            Certificate.from_arrays(2, 1, 2, bottoms, tops)
+        assert f"[{bad}, " in str(refused.value) or f", {bad}]" in str(refused.value)
 
     def test_trivial_only_certificate(self):
         empty = np.empty(0, dtype=np.int64)
@@ -354,24 +407,31 @@ class TestVerify:
 
 def sliced_mutants(cert, rng):
     """``cert`` and its mutants: one interval dropped, one duplicated, a
-    bit of one top flipped, a bit of one bottom flipped, a top given the
-    member n+1, and the depth claimed one higher."""
+    bit of one top flipped, a bit of one bottom flipped, and the depth
+    claimed one higher.  Where that depth is past n, and for a top given
+    the member n+1, construction refuses the mutant instead."""
     n, d, k = cert.universe_size, cert.min_generator_size, cert.claimed_depth
     bottoms, tops = cert.bottom_masks, cert.top_masks
-    out = [cert, Certificate(n, d, k + 1, bottoms, tops)]
+    out = [cert]
+    if k < n:
+        out.append(Certificate(n, d, k + 1, bottoms, tops))
+    else:
+        with pytest.raises(BadParameters):
+            Certificate(n, d, k + 1, bottoms, tops)
     if cert.num_explicit:
         i, bit = rng.randrange(cert.num_explicit), np.int64(1 << rng.randrange(n))
         flip_top, flip_bottom, outside = tops.copy(), bottoms.copy(), tops.copy()
         flip_top[i] ^= bit
         flip_bottom[i] ^= bit
         outside[i] |= np.int64(1 << n)
+        with pytest.raises(ElementOutOfRange):
+            Certificate(n, d, k, bottoms, outside)
         out += [
             Certificate(n, d, k, np.delete(bottoms, i), np.delete(tops, i)),
             Certificate(n, d, k, np.insert(bottoms, i, bottoms[i]),
                         np.insert(tops, i, tops[i])),
             Certificate(n, d, k, bottoms, flip_top),
             Certificate(n, d, k, flip_bottom, tops),
-            Certificate(n, d, k, bottoms, outside),
         ]
     return out
 
@@ -458,7 +518,7 @@ class TestSlicedAgainstReference:
                 report = verify_certificate(mutant)
                 assert report == verify_reference(mutant)
                 tags.add(report.first_violation and report.first_violation[0])
-        assert tags == {None, "outside-universe", "bottom-not-in-top",
+        assert tags == {None, "bottom-not-in-top",
                         "bottom-too-small", "top-too-small", "overlap", "gap-at-rank"}
 
     def test_overlap_scan_traces_below_the_member_list(self):
@@ -836,17 +896,17 @@ class TestFileFormat:
         )
 
     def test_format_refuses_what_parse_refuses(self):
-        # the full ring's d = 0 is a certificate, but no file states it
+        # no certificate states parameters that no file may state, so
+        # format_certificate is never handed one
         empty = np.empty(0, dtype=np.int64)
-        for cert in (full_ring_certificate(3), Certificate(3, 0, 0, empty, empty),
-                     Certificate(64, 1, 1, empty, empty)):
+        for n, d, k in ((3, 0, 3), (3, 0, 0), (64, 1, 1)):
             with pytest.raises(BadParameters, match="1 <= d <= k <= n <= 63"):
-                format_certificate(cert)
+                Certificate(n, d, k, empty, empty)
 
     def test_format_refuses_members_outside_universe(self):
-        cert = Certificate.from_arrays(3, 1, 2, [0b1000], [0b1001])
-        with pytest.raises(ElementOutOfRange):
-            format_certificate(cert)
+        # nor one with a member past n, which no file may hold either
+        with pytest.raises(ElementOutOfRange, match="outside 1..3"):
+            Certificate.from_arrays(3, 1, 2, [0b1000], [0b1001])
 
 
 @functools.cache
