@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import blocks as blocks_mod
 from . import construct as construct_mod
@@ -20,21 +20,21 @@ from . import solver as solver_mod
 from .errors import VsdepthError
 from .intervals import (
     Certificate,
-    format_certificate,
-    parse_certificate,
+    read_certificate,
     render_stanley,
     verify_certificate,
+    write_certificate,
 )
 from .setcore import PointSet, format_masks, read_literal
 
 
-def _write_output(data: bytes, path: Optional[str]) -> None:
+def _write_output(pieces: Iterable[bytes], path: Optional[str]) -> None:
     if path is None:
         sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(pieces)
     else:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(pieces)
 
 
 def _cmd_blocks(args: argparse.Namespace) -> int:
@@ -52,12 +52,12 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
 
 def _read_certificate(path: str) -> Certificate:
     with open(path, "rb") as fh:
-        return parse_certificate(fh.read())
+        return read_certificate(fh)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     cert = construct_mod.construct_general(args.n, args.d)
-    _write_output(format_certificate(cert), args.out)
+    _write_output(write_certificate(cert), args.out)
     return 0
 
 
@@ -98,7 +98,7 @@ def _cmd_sdepth(args: argparse.Namespace) -> int:
         result = solver_mod.certify_at_least(args.n, args.d, args.k, budget)
         print(f"k={args.k} status={result.status} nodes={result.nodes_explored}")
     if result.certificate is not None and args.out is not None:
-        _write_output(format_certificate(result.certificate), args.out)
+        _write_output(write_certificate(result.certificate), args.out)
     return {"proved": 0, "disproved": 1}.get(result.status, 4)
 
 

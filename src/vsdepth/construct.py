@@ -26,7 +26,7 @@ import numpy as np
 
 from .blocks import chain_successor_bits, f_int_masks
 from .intervals import Certificate, check_cell, check_members, verify_certificate
-from .setcore import size_masks_array
+from .setcore import size_masks_array, slices
 
 
 def construct_c2(d: int) -> Certificate:
@@ -34,14 +34,22 @@ def construct_c2(d: int) -> Certificate:
 
     Matches each d-set to a (d+1)-superset with the parenthesis rule; for
     n = 2d+1 the two ranks have equal size, so the matching is a
-    bijection and the 1-cubes tile both ranks.
+    bijection and the 1-cubes tile both ranks.  It holds the bottoms,
+    the tops and one slice of ``_matched_tops``.
     """
     n = 2 * d + 1
     check_cell(n, d)
     bottoms = size_masks_array(n, d)
-    tops = np.left_shift(1, chain_successor_bits(bottoms, n), dtype=np.int64)
-    tops |= bottoms
-    return Certificate.from_arrays(n, d, d + 1, bottoms, tops)
+    return Certificate.from_arrays(n, d, d + 1, bottoms, _matched_tops(bottoms, n))
+
+
+def _matched_tops(masks: np.ndarray, n: int) -> np.ndarray:
+    """Each mask with the point the parenthesis rule adds, a slice at a time."""
+    tops = np.empty_like(masks)
+    for part in slices(len(masks)):
+        np.left_shift(1, chain_successor_bits(masks[part], n), out=tops[part], dtype=np.int64)
+        tops[part] |= masks[part]
+    return tops
 
 
 def construct_c3(d: int) -> Certificate:
@@ -81,8 +89,7 @@ def construct_c4(d: int) -> Certificate:
     del free, low
     v1 = v1[uncovered]
     del uncovered
-    matched = np.left_shift(1, chain_successor_bits(v1, n), dtype=np.int64)
-    matched |= v1
+    matched = _matched_tops(v1, n)
     # the bottoms are two ascending runs of distinct ranks, so inserting
     # each cube before the first edge whose bottom is larger (a d-set
     # never equals a (d+2)-set) merges them in (bottom, top) order
@@ -185,13 +192,16 @@ def construct_general(n: int, d: int) -> Certificate:
 
 
 def _splice(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bottoms and tops of the composed (n, d), placed leaf by leaf."""
+    """The bottoms and tops of the composed (n, d): each leaf, lifted, is
+    written into them, so it holds them and each distinct leaf once."""
     leaf = functools.cache(_leaf)
-    leaf_bottoms, leaf_tops, lifts = zip(*((*leaf(m, e), lift) for m, e, lift in _leaves(n, d)))
-    bottoms, tops = np.concatenate(leaf_bottoms), np.concatenate(leaf_tops)
-    lifts = np.repeat(np.array(lifts, dtype=np.int64), [len(b) for b in leaf_bottoms])
-    bottoms |= lifts
-    tops |= lifts
+    placed = [(*leaf(m, e), lift) for m, e, lift in _leaves(n, d)]
+    bottoms, tops = np.empty((2, sum(len(b) for b, _, _ in placed)), dtype=np.int64)
+    stop = 0
+    for leaf_bottoms, leaf_tops, lift in placed:
+        start, stop = stop, stop + len(leaf_bottoms)
+        np.bitwise_or(leaf_bottoms, lift, out=bottoms[start:stop])
+        np.bitwise_or(leaf_tops, lift, out=tops[start:stop])
     return bottoms, tops
 
 

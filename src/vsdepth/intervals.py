@@ -12,10 +12,11 @@ certificates with millions of intervals stay cheap to build and check.
 from __future__ import annotations
 
 import bisect
+import io
 import math
 import re
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
@@ -48,10 +49,10 @@ _HEADER_LINE = f"{FILE_HEADER}\n".encode()
 _CANONICAL_HEAD = re.compile(
     re.escape(_HEADER_LINE) + rb"n=([1-9]\d?) d=([1-9]\d?) k=([1-9]\d?)\n"
 )
-_CANONICAL_TAIL = f"\n{FILE_TERMINATOR}\n".encode()
+_TERMINATOR_LINE = f"{FILE_TERMINATOR}\n".encode()
+_CANONICAL_TAIL = b"\n" + _TERMINATOR_LINE
 _LINE_START = np.frombuffer(b"interval {", dtype=np.uint8)
-# the writer's side: the bytes before a line's first literal
-_LINE_HEAD = np.frombuffer(b"interval ", dtype=np.uint8)
+_LINE_HEAD = _LINE_START[:-1]  # what the writer puts before the first literal
 # bottom sizes and dimensions run over 0..63
 _RANKS = MAX_UNIVERSE + 1
 
@@ -151,12 +152,12 @@ class Certificate:
 
 
 def _ordered(bottoms: np.ndarray, tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The intervals in (bottom, top) order: the arrays themselves when
-    they already ascend so, else sorted copies."""
-    rise = bottoms[1:] > bottoms[:-1]
-    if rise.all() or np.all(
-        rise | (bottoms[1:] == bottoms[:-1]) & (tops[1:] >= tops[:-1])
-    ):
+    """The intervals in (bottom, top) order: the arrays themselves if no
+    neighbours fall, found in slices overlapping by one, else sorted copies."""
+    def falls(part: slice) -> np.ndarray:
+        b, t = bottoms[part.start:part.stop + 1], tops[part.start:part.stop + 1]
+        return (b[1:] < b[:-1]) | (b[1:] == b[:-1]) & (t[1:] < t[:-1])
+    if _first(falls, len(bottoms) - 1) is None:
         return bottoms, tops
     order = np.lexsort((tops, bottoms))
     return bottoms[order], tops[order]
@@ -481,23 +482,14 @@ def render_stanley(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
-def format_certificate(cert: Certificate) -> bytes:
-    """Canonical line-oriented certificate text as bytes, which
-    ``parse_certificate`` reads back to an equal certificate.
-
-    The interval lines are spelled a slice of about ``setcore._SLICE``
-    bytes at a time: each line is one zero-padded uint8 row filled by
-    ``write_literals``, and the slice's padding is dropped with one
-    ``bytes.translate``.
-    """
+def write_certificate(cert: Certificate) -> Iterator[bytes]:
+    """The canonical text of ``cert`` in pieces, holding one at a time:
+    the header, the interval lines in slices of about ``setcore._SLICE``
+    bytes of zero-padded rows spelled by ``write_literals``, the end."""
     n, bottoms, tops = cert.universe_size, cert.bottom_masks, cert.top_masks
-    width = literal_width(n)
-    head = len(_LINE_HEAD)
+    width, head = literal_width(n), len(_LINE_HEAD)
     row = head + 2 * width + 2
-    parts = [
-        f"{FILE_HEADER}\nn={n} d={cert.min_generator_size} "
-        f"k={cert.claimed_depth}\n".encode()
-    ]
+    yield f"{FILE_HEADER}\nn={n} d={cert.min_generator_size} k={cert.claimed_depth}\n".encode()
     for part in slices(len(bottoms), weight=row):
         rows = np.zeros((part.stop - part.start, row), dtype=np.uint8)
         rows[:, :head] = _LINE_HEAD
@@ -505,32 +497,64 @@ def format_certificate(cert: Certificate) -> bytes:
         rows[:, head + width] = ord(" ")
         write_literals(rows[:, head + width + 1:-1], tops[part], n)
         rows[:, -1] = ord("\n")
-        parts.append(rows.tobytes().translate(None, b"\0"))
-    parts.append(f"{FILE_TERMINATOR}\n".encode())
-    return b"".join(parts)
+        yield rows.tobytes().translate(None, b"\0")
+    yield _TERMINATOR_LINE
+
+
+def format_certificate(cert: Certificate) -> bytes:
+    """The pieces of ``write_certificate`` joined: it holds the text twice."""
+    return b"".join(write_certificate(cert))
 
 
 def parse_certificate(data: bytes | str) -> Certificate:
-    """Certificate from its text, as bytes or str (a str is encoded once):
-    exactly what ``format_certificate`` writes, with LF or CR LF line ends
-    (made LF first) and 1 <= d <= k <= n <= 63.  The interval lines are
-    read by ``_canonical_body``; any other text raises
-    CertificateFormatError, naming the first bad interval line."""
+    """``read_certificate`` of bytes, or of a str encoded once; holds the text."""
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    lf = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
-    if not lf.startswith(_HEADER_LINE):
+    return read_certificate(io.BytesIO(raw))
+
+
+def read_certificate(stream: BinaryIO) -> Certificate:
+    """Certificate from a seekable binary stream, read from its start:
+    what ``format_certificate`` writes, LF or CR LF, else a refusal of the
+    header, parameters, domain, terminator or first bad line, in that order.
+    One pass sizes the text, a second fills arrays so sized; it holds them and a run."""
+    head, tail, lines, size = b"", b"", 0, 0
+    for run in _line_runs(stream):
+        head += run[:96 - len(head)]  # both header lines, and 80 bytes to quote
+        tail = (tail + run[-len(_CANONICAL_TAIL):])[-len(_CANONICAL_TAIL):]
+        lines += run.count(b"\n")
+        size += len(run)
+    if not head.startswith(_HEADER_LINE):
         raise CertificateFormatError(f"missing {FILE_HEADER} header")
-    head = _CANONICAL_HEAD.match(lf)
-    if head is None:
-        raise CertificateFormatError(f"bad parameter line: {_quote(lf, len(_HEADER_LINE))}")
-    n, d, k = map(int, head.groups())
+    params = _CANONICAL_HEAD.match(head)
+    if params is None:
+        raise CertificateFormatError(f"bad parameter line: {_quote(head, len(_HEADER_LINE))}")
+    n, d, k = map(int, params.groups())
     if not _in_domain(n, d, k):
         raise CertificateFormatError(f"parameters outside 1 <= d <= k <= n <= {MAX_UNIVERSE}: "
-                                     f"{_quote(lf, len(_HEADER_LINE))}")
-    if not lf.endswith(_CANONICAL_TAIL):
+                                     f"{_quote(head, len(_HEADER_LINE))}")
+    if tail != _CANONICAL_TAIL:
         raise CertificateFormatError(f"missing {FILE_TERMINATOR} terminator")
-    body_end = len(lf) - len(_CANONICAL_TAIL) + 1
-    return Certificate.from_arrays(n, d, k, *_canonical_body(lf, head.end(), body_end, n))
+    stream.seek(0)
+    body = _canonical_body(_line_runs(stream), params.end(), size, lines - 3, n)
+    return Certificate(n, d, k, *body)
+
+
+def _line_runs(stream: BinaryIO) -> Iterator[bytes]:
+    """The bytes of ``stream``, CR LF made LF, in runs of whole lines: each
+    ``readinto`` of one buffer, cut at its last line end (whole at the end,
+    or if full with none: a line past 373 bytes), the rest carried over."""
+    buffer, held, got = bytearray(max(setcore._SLICE, 1 << 10)), 0, True
+    while got:
+        got = stream.readinto(memoryview(buffer)[held:])
+        held += got
+        cut = buffer.rfind(b"\n", 0, held) + 1
+        if not got or not cut and held == len(buffer):
+            cut = held
+        if cut:
+            run = bytes(memoryview(buffer)[:cut])
+            yield run.replace(b"\r\n", b"\n") if b"\r" in run else run
+            buffer[:held - cut] = buffer[cut:held]
+            held -= cut
 
 
 def _quote(raw: bytes, start: int) -> str:
@@ -544,34 +568,39 @@ def _in_domain(n: int, d: int, k: int) -> bool:
     return 1 <= d <= k <= n <= MAX_UNIVERSE
 
 
-def _canonical_body(raw: bytes, start: int, end: int, n: int):
-    """The bottom and top masks of the interval lines in raw[start:end],
-    file lines 3 on, read in slices of about ``setcore._SLICE`` bytes cut
-    at line ends so that one slice's index arrays exist at a time; the
-    first bad line is refused by its number, found by bisection."""
-    count = raw.count(b"\n", start, end)
-    bottoms = np.empty(count, dtype=np.int64)
-    tops = np.empty(count, dtype=np.int64)
-    buffer = np.frombuffer(raw, dtype=np.uint8)
-    done = 0
-    while start < end:
-        stop = (raw.rfind(b"\n", start, min(start + setcore._SLICE, end)) + 1
-                or raw.find(b"\n", start, end) + 1)
-        masks = _canonical_masks(buffer[start:stop], n)
+def _canonical_body(runs: Iterator[bytes], start: int, size: int, count: int, n: int):
+    """The masks of the ``count`` interval lines, file lines 3 on, from
+    byte ``start`` of the ``size`` bytes of ``runs`` to the terminator; it
+    holds them and one run.  The first bad line is refused by its number."""
+    bottoms, tops = np.empty((2, count), dtype=np.int64)
+    end, done, seen = size - len(_TERMINATOR_LINE), 0, 0
+    for run in runs:
+        part = run[max(start - seen, 0):max(end - seen, 0)]
+        seen += len(run)
+        if not part:
+            continue
+        if seen > end and not part.endswith(b"\n"):
+            break  # the body no longer ends at a line end
+        chunk = np.frombuffer(part, dtype=np.uint8)
+        masks = _canonical_masks(chunk, n) if part.endswith(b"\n") else None
         if masks is None:
             # a run of lines is canonical iff each of its lines is
-            ends = np.flatnonzero(buffer[start:stop] == ord("\n")) + 1
+            ends = np.flatnonzero(chunk == ord("\n")) + 1
             bad = bisect.bisect_left(range(len(ends)), True, key=lambda i: _canonical_masks(
-                buffer[start:start + ends[i]], n) is None)
+                chunk[:ends[i]], n) is None)
             raise CertificateFormatError(
                 f"line {done + 3 + bad} is not a canonical interval line: "
-                f"{_quote(raw, start + (int(ends[bad - 1]) if bad else 0))}")
+                f"{_quote(part, int(ends[bad - 1]) if bad else 0)}")
         lines = len(masks) // 2
+        if done + lines > count:
+            break
         bottoms[done:done + lines] = masks[0::2]
         tops[done:done + lines] = masks[1::2]
         done += lines
-        start = stop
-    return bottoms, tops
+    else:
+        if done == count and seen == size and run.endswith(_TERMINATOR_LINE):
+            return bottoms, tops
+    raise CertificateFormatError("the text changed while it was read")
 
 
 def _canonical_masks(chunk: np.ndarray, n: int) -> Optional[np.ndarray]:

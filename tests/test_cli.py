@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from vsdepth import construct, intervals, solver
+from vsdepth import construct, intervals, setcore, solver
+from vsdepth.blocks import chain_successor_bits
 from vsdepth.cli import run
 from vsdepth.errors import MatchingFailed
 from vsdepth.intervals import Certificate, format_certificate
@@ -112,6 +113,18 @@ class TestConstructVerifyRender:
     def test_missing_file(self, capsys):
         assert run(["verify", "--cert", "/nonexistent/cert.txt"]) == 2
 
+    def test_pipe_is_usage_error(self, capsys):
+        # the reader reads a file twice, so it needs one it can seek back in
+        read, write = os.pipe()
+        try:
+            os.write(write, format_certificate(construct.construct_c2(2)))
+            os.close(write)
+            assert run(["verify", "--cert", f"/dev/fd/{read}"]) == 2
+        finally:
+            os.close(read)
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not seekable" in captured.err
+
     @pytest.mark.parametrize("params", ["n=3 d=5 k=5", "n=70 d=2 k=2", "n=4 d=2 k=1"])
     def test_parameters_outside_domain(self, params, tmp_path, capsys):
         cert_path = tmp_path / "cert.txt"
@@ -168,11 +181,21 @@ class TestConstructVerifyRender:
         assert secs < 1.0
 
     def test_matching_failure_is_internal_error(self, monkeypatch, capsys):
-        def fail(masks, n):
-            raise MatchingFailed("a set has no unmatched opening position")
+        # the matching runs a slice at a time; a failure in the second of
+        # c2(2)'s two slices, after the first slice's tops are written,
+        # still exits 3 with nothing on stdout
+        calls = []
 
+        def fail(masks, n):
+            calls.append(len(masks))
+            if len(calls) == 2:
+                raise MatchingFailed("a set has no unmatched opening position")
+            return chain_successor_bits(masks, n)
+
+        monkeypatch.setattr(setcore, "_SLICE", 8)
         monkeypatch.setattr(construct, "chain_successor_bits", fail)
         assert run(["construct", "--n", "5", "--d", "2"]) == 3
+        assert calls == [8, 2]
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" in captured.err and "MatchingFailed" in captured.err

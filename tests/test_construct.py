@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vsdepth import construct, intervals
+from vsdepth import construct, intervals, setcore
 from vsdepth.blocks import Density, f_delta, f_int_masks
 from vsdepth.construct import (
     bounds,
@@ -392,8 +392,10 @@ class TestConstructGeneral:
         assert construct_general(n, d).num_explicit > 0
 
     def test_build_peak_before_verifying(self, monkeypatch):
-        # the build writes each interval once: it holds the result and
-        # one array of lifts, not a certificate per composed cell
+        # the build writes each interval once, lifted, into the result: it
+        # holds the result and each distinct leaf, 1.32x the certificate
+        # at (23, 8), not a certificate per composed cell (a concatenation
+        # and a full-length array of lifts took 1.74x); the margin is 0.08
         peaks = []
 
         def checking(cert):
@@ -409,7 +411,23 @@ class TestConstructGeneral:
         finally:
             tracemalloc.stop()
         final = cert.bottom_masks.nbytes + cert.top_masks.nbytes
-        assert peaks[0] <= 2 * final, f"peak {peaks[0] / final:.2f}x the certificate"
+        assert peaks[0] <= 1.4 * final, f"peak {peaks[0] / final:.2f}x the certificate"
+
+    def test_c2_holds_its_arrays_and_slices(self, monkeypatch):
+        # c2(10)'s 352,716 tops are written a slice at a time, so with
+        # slices of 2^12 its build traces 2.2 int64 slices (71 KB) beside
+        # its 5.6 MB of masks; a full-length array of positions and of
+        # neighbour comparisons took 420 KB
+        monkeypatch.setattr(setcore, "_SLICE", 1 << 12)
+        construct_c2(2)
+        tracemalloc.start()
+        try:
+            cert = construct_c2(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = cert.bottom_masks.nbytes + cert.top_masks.nbytes
+        assert peak <= arrays + 4 * 8 * setcore._SLICE
 
     def test_invalid_base_is_internal_error(self, monkeypatch):
         # (6,1) composes c3(1); its missing interval leaves a gap in the result

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import io
 import itertools
 import math
 import random
@@ -29,8 +30,10 @@ from vsdepth.intervals import (
     Certificate,
     format_certificate,
     parse_certificate,
+    read_certificate,
     render_stanley,
     verify_certificate,
+    write_certificate,
 )
 from vsdepth.construct import plan
 from vsdepth.intervals import interval_members, member_word
@@ -98,6 +101,39 @@ class TestNewCertificate:
         order = np.lexsort((tops, bottoms))
         assert got_bottoms.tolist() == bottoms[order].tolist()
         assert got_tops.tolist() == tops[order].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12),
+           st.integers(1, 4))
+    def test_order_across_slices(self, pairs, size):
+        # neighbours are compared a slice at a time, with the slices
+        # overlapping by one interval, so a fall at any boundary is seen
+        bottoms = np.array([b for b, _ in pairs], dtype=np.int64)
+        tops = np.array([t for _, t in pairs], dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(setcore, "_SLICE", size)
+            got_bottoms, got_tops = intervals._ordered(bottoms, tops)
+        order = np.lexsort((tops, bottoms))
+        assert got_bottoms.tolist() == bottoms[order].tolist()
+        assert got_tops.tolist() == tops[order].tolist()
+        assert (got_bottoms is bottoms) == bool(np.all(order == np.arange(len(order))))
+
+    def test_ordered_arrays_cost_a_few_slices(self, monkeypatch):
+        # the checks of construction run slice by slice: with slices of
+        # 2^12, c2(10)'s 352,716 intervals are checked in 2.2 int64
+        # slices (71 KB) beside their 5.6 MB of masks; a full-length bool
+        # array of neighbour comparisons alone would take 353 KB
+        cert = construct_c2(10)
+        bottoms, tops = cert.bottom_masks.copy(), cert.top_masks.copy()
+        monkeypatch.setattr(setcore, "_SLICE", 1 << 12)
+        tracemalloc.start()
+        try:
+            again = Certificate(21, 10, 11, bottoms, tops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again.bottom_masks is bottoms and again.top_masks is tops
+        assert peak <= 4 * 8 * setcore._SLICE
 
     def test_ordered_input_is_not_sorted(self, monkeypatch):
         text = format_certificate(construct_c4(2))
@@ -1153,3 +1189,129 @@ class TestCanonicalTextTakesTheBytePass:
             text = format_certificate(cert)
             for data in (text, text.replace(b"\n", b"\r\n")):
                 assert parse_certificate(data) == cert
+
+
+class Pieces(io.RawIOBase):
+    """A seekable stream of ``data`` whose reads stop short at each
+    offset in ``cuts``, as a pipe or a slow file may."""
+
+    def __init__(self, data: bytes, cuts=()):
+        super().__init__()
+        self.data, self.cuts, self.pos = data, sorted(cuts), 0
+
+    def readable(self):
+        return True
+
+    def seekable(self):
+        return True
+
+    def tell(self):
+        return self.pos
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        self.pos = pos if whence == io.SEEK_SET else self.pos + pos
+        return self.pos
+
+    def readinto(self, buffer):
+        stop = min([c for c in self.cuts if c > self.pos] + [len(self.data)])
+        count = min(len(buffer), stop - self.pos)
+        buffer[:count] = self.data[self.pos:self.pos + count]
+        self.pos += count
+        return count
+
+
+def read_outcome(stream):
+    """The certificate that ``read_certificate`` makes of ``stream``, or
+    the message it refuses it with."""
+    try:
+        return read_certificate(stream)
+    except CertificateFormatError as exc:
+        return str(exc)
+
+
+class TestStreamingText:
+    TEXT = format_certificate(construct_general(7, 2))
+    LINES = TEXT.splitlines(keepends=True)
+    # whole, a member past n on line 6, no terminator, a bad header, and
+    # the parameter line doubled
+    CASES = [
+        TEXT,
+        b"".join(LINES[:5]) + LINES[5].replace(b"}", b",8}", 1) + b"".join(LINES[6:]),
+        b"".join(LINES[:-1]),
+        b"VSDEPTH-CERT v2\n" + b"".join(LINES[1:]),
+        b"".join(LINES[:2]) + b"".join(LINES[1:]),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("ends", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_every_cut_reads_alike(self, case, ends):
+        # one short read at every byte offset, a cut inside each CR LF
+        # pair included, and a read per byte: each gives the certificate,
+        # or refuses the same line, as the whole text does
+        data = self.CASES[case].replace(b"\n", ends)
+        want = read_outcome(io.BytesIO(data))
+        if case == 0:
+            assert want == parse_certificate(self.TEXT)
+        elif case == 1:
+            assert want.startswith("line 6 is not a canonical interval line: ")
+        for cut in range(len(data) + 1):
+            assert read_outcome(Pieces(data, [cut])) == want, cut
+        assert read_outcome(Pieces(data, range(len(data)))) == want
+
+    @pytest.mark.parametrize("later", [
+        LINES[:4] + LINES[5:-1],
+        LINES[:5] + LINES[4:],
+        LINES[:-1] + [b"x" * (len(LINES[-1]) - 1) + b"\n"],
+    ], ids=["fewer", "more", "same-size"])
+    def test_text_changed_between_the_passes(self, later):
+        # the second pass finds fewer interval lines, and no terminator;
+        # more than the first pass counted; or as many bytes and lines but
+        # no terminator: no array is left part-filled
+        class Changing(Pieces):
+            def seek(self, pos, whence=io.SEEK_SET):
+                self.data = b"".join(later)
+                return super().seek(pos, whence)
+
+        with pytest.raises(CertificateFormatError, match="changed while it was read"):
+            read_certificate(Changing(self.TEXT))
+
+    def test_writer_pieces_are_the_text(self):
+        pieces = list(write_certificate(construct_c2(8)))
+        assert pieces[0] == b"VSDEPTH-CERT v1\nn=17 d=8 k=9\n"
+        assert pieces[-1] == b"trivial-completion\n"
+        assert len(pieces) > 4 and all(p.endswith(b"\n") for p in pieces)
+        assert b"".join(pieces) == format_certificate(construct_c2(8))
+
+    def test_a_line_longer_than_the_buffer(self):
+        # refused by its number without being held whole
+        long = b"interval {1} {1," + b"2," * setcore._SLICE + b"3}\n"
+        data = b"".join(self.LINES[:4]) + long + b"".join(self.LINES[4:])
+        with pytest.raises(CertificateFormatError, match="^" + re.escape(
+                "line 5 is not a canonical interval line: 'interval {1} {1,2,2,")):
+            parse_certificate(data)
+
+    def test_peaks_at_a_few_slices_beside_the_arrays(self, tmp_path):
+        # the (23, 7) text is 13.4 MB; writing it holds one slice's rows
+        # and bytes (0.8 MB traced), and reading it back the two mask
+        # arrays (3.9 MB) and one run's temporaries (4.0 MB)
+        cert = construct_general(23, 7)
+        arrays = cert.bottom_masks.nbytes + cert.top_masks.nbytes
+        path = tmp_path / "c.txt"
+        with open(path, "wb") as fh:
+            tracemalloc.start()
+            try:
+                fh.writelines(write_certificate(cert))
+                _, written = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        with open(path, "rb") as fh:
+            tracemalloc.start()
+            try:
+                back = read_certificate(fh)
+                _, read = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert back == cert and path.stat().st_size > 13_000_000
+        slice_bytes = 8 * setcore._SLICE
+        assert written <= slice_bytes
+        assert read <= arrays + 3 * slice_bytes
