@@ -18,13 +18,8 @@ from . import blocks as blocks_mod
 from . import construct as construct_mod
 from . import solver as solver_mod
 from .errors import VsdepthError
-from .intervals import (
-    Certificate,
-    read_certificate,
-    render_stanley,
-    verify_certificate,
-    write_certificate,
-)
+from .intervals import (Certificate, read_certificate, render_stanley, verify_certificate,
+                        write_certificate)
 from .setcore import PointSet, format_masks, read_literal
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import bisect
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field, fields
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -513,16 +514,15 @@ def parse_certificate(data: bytes | str) -> Certificate:
 
 
 def read_certificate(stream: BinaryIO) -> Certificate:
-    """Certificate from a seekable binary stream, read from its start:
-    what ``format_certificate`` writes, LF or CR LF, else a refusal of the
-    header, parameters, domain, terminator or first bad line, in that order.
-    One pass sizes the text, a second fills arrays so sized; it holds them and a run."""
-    head, tail, lines, size = b"", b"", 0, 0
-    for run in _line_runs(stream):
-        head += run[:96 - len(head)]  # both header lines, and 80 bytes to quote
-        tail = (tail + run[-len(_CANONICAL_TAIL):])[-len(_CANONICAL_TAIL):]
-        lines += run.count(b"\n")
-        size += len(run)
+    """Certificate from a binary stream, a pipe too, read once from where
+    it stands: what ``format_certificate`` writes, LF or CR LF, else a
+    refusal of the header, parameters, domain, terminator or first bad
+    line, in that order.  It holds the masks and one run of lines."""
+    runs, head = _line_runs(stream), b""
+    for run in runs:
+        head += run  # both header lines, or 96 bytes: 80 of line 2 to quote
+        if len(head) >= 96 or head.count(b"\n") >= 2:
+            break
     if not head.startswith(_HEADER_LINE):
         raise CertificateFormatError(f"missing {FILE_HEADER} header")
     params = _CANONICAL_HEAD.match(head)
@@ -532,29 +532,29 @@ def read_certificate(stream: BinaryIO) -> Certificate:
     if not _in_domain(n, d, k):
         raise CertificateFormatError(f"parameters outside 1 <= d <= k <= n <= {MAX_UNIVERSE}: "
                                      f"{_quote(head, len(_HEADER_LINE))}")
-    if tail != _CANONICAL_TAIL:
-        raise CertificateFormatError(f"missing {FILE_TERMINATOR} terminator")
-    stream.seek(0)
-    body = _canonical_body(_line_runs(stream), params.end(), size, lines - 3, n)
-    return Certificate(n, d, k, *body)
+    return Certificate(n, d, k, *_canonical_body(itertools.chain([head[params.end():]], runs), n))
 
 
 def _line_runs(stream: BinaryIO) -> Iterator[bytes]:
     """The bytes of ``stream``, CR LF made LF, in runs of whole lines: each
-    ``readinto`` of one buffer, cut at its last line end (whole at the end,
-    or if full with none: a line past 373 bytes), the rest carried over."""
-    buffer, held, got = bytearray(max(setcore._SLICE, 1 << 10)), 0, True
+    ``readinto`` of a buffer of 4 KiB that doubles with each read up to
+    max(``setcore._SLICE``, 1 KiB), cut at its last line end (whole at the
+    end, or if full at that size: a line past 373 bytes), the rest kept."""
+    top = max(setcore._SLICE, 1 << 10)
+    buffer, held, got = bytearray(min(top, 1 << 12)), 0, True
     while got:
         got = stream.readinto(memoryview(buffer)[held:])
         held += got
         cut = buffer.rfind(b"\n", 0, held) + 1
-        if not got or not cut and held == len(buffer):
+        if not got or not cut and held == len(buffer) >= top:
             cut = held
         if cut:
             run = bytes(memoryview(buffer)[:cut])
             yield run.replace(b"\r\n", b"\n") if b"\r" in run else run
             buffer[:held - cut] = buffer[cut:held]
             held -= cut
+        if len(buffer) < top:
+            buffer.extend(bytes(len(buffer)))
 
 
 def _quote(raw: bytes, start: int) -> str:
@@ -568,39 +568,45 @@ def _in_domain(n: int, d: int, k: int) -> bool:
     return 1 <= d <= k <= n <= MAX_UNIVERSE
 
 
-def _canonical_body(runs: Iterator[bytes], start: int, size: int, count: int, n: int):
-    """The masks of the ``count`` interval lines, file lines 3 on, from
-    byte ``start`` of the ``size`` bytes of ``runs`` to the terminator; it
-    holds them and one run.  The first bad line is refused by its number."""
-    bottoms, tops = np.empty((2, count), dtype=np.int64)
-    end, done, seen = size - len(_TERMINATOR_LINE), 0, 0
-    for run in runs:
-        part = run[max(start - seen, 0):max(end - seen, 0)]
-        seen += len(run)
+def _canonical_body(runs: Iterable[bytes], n: int):
+    """The masks of the interval lines in ``runs`` (file lines 3 on) up to
+    the terminator ending the text, else the first bad line by number. It
+    holds one run and the masks, in arrays doubled in place, cut at the end."""
+    bottoms, tops = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    done, tail, bad = 0, b"\n", None
+    for run in filter(None, runs):
+        if tail == _CANONICAL_TAIL and bad is None:  # text after a terminator line
+            bad = f"line {done + 3} is not a canonical interval line: {FILE_TERMINATOR!r}"
+        tail = (tail + run[-len(_CANONICAL_TAIL):])[-len(_CANONICAL_TAIL):]
+        if bad is not None:
+            continue
+        part = run[:-len(_TERMINATOR_LINE)] if tail == _CANONICAL_TAIL else run
         if not part:
             continue
-        if seen > end and not part.endswith(b"\n"):
-            break  # the body no longer ends at a line end
         chunk = np.frombuffer(part, dtype=np.uint8)
         masks = _canonical_masks(chunk, n) if part.endswith(b"\n") else None
         if masks is None:
             # a run of lines is canonical iff each of its lines is
             ends = np.flatnonzero(chunk == ord("\n")) + 1
-            bad = bisect.bisect_left(range(len(ends)), True, key=lambda i: _canonical_masks(
+            first = bisect.bisect_left(range(len(ends)), True, key=lambda i: _canonical_masks(
                 chunk[:ends[i]], n) is None)
-            raise CertificateFormatError(
-                f"line {done + 3 + bad} is not a canonical interval line: "
-                f"{_quote(part, int(ends[bad - 1]) if bad else 0)}")
+            bad = (f"line {done + 3 + first} is not a canonical interval line: "
+                   f"{_quote(part, int(ends[first - 1]) if first else 0)}")
+            continue
         lines = len(masks) // 2
-        if done + lines > count:
-            break
+        if done + lines > len(bottoms):
+            for array in (bottoms, tops):
+                array.resize(max(2 * len(array), done + lines), refcheck=False)
         bottoms[done:done + lines] = masks[0::2]
         tops[done:done + lines] = masks[1::2]
         done += lines
-    else:
-        if done == count and seen == size and run.endswith(_TERMINATOR_LINE):
-            return bottoms, tops
-    raise CertificateFormatError("the text changed while it was read")
+    if tail != _CANONICAL_TAIL:
+        raise CertificateFormatError(f"missing {FILE_TERMINATOR} terminator")
+    if bad is not None:
+        raise CertificateFormatError(bad)
+    for array in (bottoms, tops):
+        array.resize(done, refcheck=False)
+    return bottoms, tops
 
 
 def _canonical_masks(chunk: np.ndarray, n: int) -> Optional[np.ndarray]:

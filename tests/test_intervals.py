@@ -1192,8 +1192,8 @@ class TestCanonicalTextTakesTheBytePass:
 
 
 class Pieces(io.RawIOBase):
-    """A seekable stream of ``data`` whose reads stop short at each
-    offset in ``cuts``, as a pipe or a slow file may."""
+    """A stream of ``data`` whose reads stop short at each offset in
+    ``cuts``, as a pipe or a slow file may; it cannot seek."""
 
     def __init__(self, data: bytes, cuts=()):
         super().__init__()
@@ -1201,16 +1201,6 @@ class Pieces(io.RawIOBase):
 
     def readable(self):
         return True
-
-    def seekable(self):
-        return True
-
-    def tell(self):
-        return self.pos
-
-    def seek(self, pos, whence=io.SEEK_SET):
-        self.pos = pos if whence == io.SEEK_SET else self.pos + pos
-        return self.pos
 
     def readinto(self, buffer):
         stop = min([c for c in self.cuts if c > self.pos] + [len(self.data)])
@@ -1232,14 +1222,18 @@ def read_outcome(stream):
 class TestStreamingText:
     TEXT = format_certificate(construct_general(7, 2))
     LINES = TEXT.splitlines(keepends=True)
-    # whole, a member past n on line 6, no terminator, a bad header, and
-    # the parameter line doubled
+    # whole, a member past n on line 6, no terminator, a bad header, the
+    # parameter line doubled, the terminator doubled, the terminator also
+    # as line 5, and line 6 bad with no terminator
     CASES = [
         TEXT,
         b"".join(LINES[:5]) + LINES[5].replace(b"}", b",8}", 1) + b"".join(LINES[6:]),
         b"".join(LINES[:-1]),
         b"VSDEPTH-CERT v2\n" + b"".join(LINES[1:]),
         b"".join(LINES[:2]) + b"".join(LINES[1:]),
+        TEXT + LINES[-1],
+        b"".join(LINES[:4] + LINES[-1:] + LINES[4:]),
+        b"".join(LINES[:5]) + LINES[5].replace(b"}", b",8}", 1) + b"".join(LINES[6:-1]),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
@@ -1254,26 +1248,14 @@ class TestStreamingText:
             assert want == parse_certificate(self.TEXT)
         elif case == 1:
             assert want.startswith("line 6 is not a canonical interval line: ")
+        elif case == 7:
+            assert want == "missing trivial-completion terminator"
+        elif case >= 5:
+            line = len(self.LINES) if case == 5 else 5
+            assert want == f"line {line} is not a canonical interval line: 'trivial-completion'"
         for cut in range(len(data) + 1):
             assert read_outcome(Pieces(data, [cut])) == want, cut
         assert read_outcome(Pieces(data, range(len(data)))) == want
-
-    @pytest.mark.parametrize("later", [
-        LINES[:4] + LINES[5:-1],
-        LINES[:5] + LINES[4:],
-        LINES[:-1] + [b"x" * (len(LINES[-1]) - 1) + b"\n"],
-    ], ids=["fewer", "more", "same-size"])
-    def test_text_changed_between_the_passes(self, later):
-        # the second pass finds fewer interval lines, and no terminator;
-        # more than the first pass counted; or as many bytes and lines but
-        # no terminator: no array is left part-filled
-        class Changing(Pieces):
-            def seek(self, pos, whence=io.SEEK_SET):
-                self.data = b"".join(later)
-                return super().seek(pos, whence)
-
-        with pytest.raises(CertificateFormatError, match="changed while it was read"):
-            read_certificate(Changing(self.TEXT))
 
     def test_writer_pieces_are_the_text(self):
         pieces = list(write_certificate(construct_c2(8)))
@@ -1293,7 +1275,8 @@ class TestStreamingText:
     def test_peaks_at_a_few_slices_beside_the_arrays(self, tmp_path):
         # the (23, 7) text is 13.4 MB; writing it holds one slice's rows
         # and bytes (0.8 MB traced), and reading it back the two mask
-        # arrays (3.9 MB) and one run's temporaries (4.0 MB)
+        # arrays (3.9 MB), grown by doubling to 4.9 MB before they are cut
+        # to size, and one run's temporaries (4.2 MB)
         cert = construct_general(23, 7)
         arrays = cert.bottom_masks.nbytes + cert.top_masks.nbytes
         path = tmp_path / "c.txt"
@@ -1315,3 +1298,16 @@ class TestStreamingText:
         slice_bytes = 8 * setcore._SLICE
         assert written <= slice_bytes
         assert read <= arrays + 3 * slice_bytes
+
+    def test_a_short_text_costs_a_short_buffer(self):
+        # the buffer starts at 4 KiB and doubles with each read, so the
+        # 1 KB text of c2(3) traces 30 KB, not a buffer of _SLICE bytes
+        text = format_certificate(construct_c2(3))
+        tracemalloc.start()
+        try:
+            back = parse_certificate(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == construct_c2(3) and len(text) < 4096
+        assert peak <= setcore._SLICE // 4
